@@ -23,13 +23,12 @@ from dpae import heads as H
 from dpae import interpret as I
 from dpae import metrics as M
 from dpae import training as TR
+from dpae.encoder import perturb_patches
 from dpae.model import DPAE, DESK_PROFILE
 
 
 def perturb(x, snr_db, ratio_pad, grid, rng):
-    noisy = D.add_noise(x, snr_db, rng)
-    patches, _ = D.mask_patches(D.patchify(noisy, grid), ratio_pad, rng)
-    return D.unpatchify(patches, grid)
+    return D.unpatchify(perturb_patches(x, snr_db, ratio_pad, grid, rng)[0], grid)
 
 
 def encode_split(model, ds, idx, seed, tag):

@@ -26,6 +26,7 @@ from . import metrics as M
 from . import tensor as T
 from . import training as TR
 from .config import resolve_config
+from .encoder import perturb_patches
 from .model import DPAE, ModelProfile
 
 OUTPUT_ROOT_ENV = "DPAE_OUTPUT_ROOT"
@@ -102,45 +103,15 @@ def _stamp(cfg, command, extra=None):
 # ---------------------------------------------------------------------------
 # shared loading helpers
 
-def _load_model(path):
-    model, meta = TR.load_checkpoint(path)
-    return model, meta
-
-
 def _perturbed_matrix(x, snr_db, ratio_pad, grid, rng):
-    """Noise + patch masking, folded back to a p x l matrix, plus the mask."""
-    noisy = D.add_noise(x, snr_db, rng)
-    patches, mask = D.mask_patches(D.patchify(noisy, grid), ratio_pad, rng)
+    """One perturbation folded back to a p x l matrix, plus the mask."""
+    patches, mask = perturb_patches(x, snr_db, ratio_pad, grid, rng)
     return D.unpatchify(patches, grid), mask
 
 
-def _reconstruct_from_matrix(model, x_pert):
-    """Eval-mode reconstruction of an already-perturbed matrix."""
-    recon, latent, _ = model.reconstruct(np.asarray(x_pert, dtype=float))
-    return recon.data.copy(), latent.data.reshape(-1).copy()
-
-
-def _write_matrix_csv(path, matrix, names, cfg_line):
-    with open(path, "w", newline="") as fh:
-        fh.write("# config=" + json.dumps(cfg_line, sort_keys=True) + "\n")
-        w = csv.writer(fh)
-        w.writerow(names)
-        for row in matrix:
-            w.writerow([repr(float(v)) for v in row])
-
-
-def _latent_header(d):
-    return [f"z{i}" for i in range(d)] + ["location", "size_cm"]
-
-
-def _write_latents_csv(path, Z, labels, cfg_line):
-    with open(path, "w", newline="") as fh:
-        fh.write("# config=" + json.dumps(cfg_line, sort_keys=True) + "\n")
-        w = csv.writer(fh)
-        w.writerow(_latent_header(Z.shape[1]))
-        for row, lb in zip(Z, labels):
-            w.writerow([repr(float(v)) for v in row]
-                       + [lb.location.value, repr(float(lb.size_cm))])
+def _repr_rows(matrix):
+    """Rows of exact float reprs, so CSV values round-trip bit for bit."""
+    return ([repr(float(v)) for v in row] for row in matrix)
 
 
 def _read_latents_csv(path):
@@ -228,7 +199,7 @@ def cmd_reconstruct(args):
     cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
                          ratio_pad=args.pad)
     out = _resolve_out(args.out)
-    model, _ = _load_model(args.model)
+    model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
     if not (0 <= args.index < len(dataset.samples)):
         raise UsageError(f"sample index {args.index} out of range")
@@ -243,7 +214,7 @@ def cmd_reconstruct(args):
             np.random.SeedSequence((cfg.seed, _TAG_RECON, args.index)))
         x_pert, mask = _perturbed_matrix(x, cfg.snr_db, cfg.ratio_pad,
                                          model.grid, rng)
-    recon, _ = _reconstruct_from_matrix(model, x_pert)
+    recon = model.reconstruct(x_pert)[0].data
     report = M.reconstruction_report(x, x_pert, recon)
 
     stamp = _stamp(cfg, "reconstruct", {
@@ -251,12 +222,10 @@ def cmd_reconstruct(args):
         "passthrough": bool(args.passthrough),
     })
     with _DirLock(out):
-        _write_matrix_csv(os.path.join(out, "clean.csv"), x, names,
-                          stamp["config"])
-        _write_matrix_csv(os.path.join(out, "perturbed.csv"), x_pert, names,
-                          stamp["config"])
-        _write_matrix_csv(os.path.join(out, "reconstructed.csv"), recon,
-                          names, stamp["config"])
+        for name, matrix in (("clean", x), ("perturbed", x_pert),
+                             ("reconstructed", recon)):
+            D.write_stamped_csv(os.path.join(out, f"{name}.csv"),
+                                stamp["config"], names, _repr_rows(matrix))
         _write_json(os.path.join(out, "report.json"), {
             **stamp,
             "reconstruction": report,
@@ -275,7 +244,7 @@ def cmd_extract_latents(args):
     cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
                          ratio_pad=args.pad)
     out = _resolve_out(args.out)
-    model, _ = _load_model(args.model)
+    model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
 
     snr = None if args.clean else cfg.snr_db
@@ -296,8 +265,11 @@ def cmd_extract_latents(args):
 
     stamp = _stamp(cfg, "extract-latents", {"clean": bool(args.clean)})
     with _DirLock(out):
-        _write_latents_csv(os.path.join(out, "latents.csv"), Z, labels,
-                           stamp["config"])
+        D.write_stamped_csv(
+            os.path.join(out, "latents.csv"), stamp["config"],
+            [f"z{i}" for i in range(Z.shape[1])] + ["location", "size_cm"],
+            (row + [lb.location.value, repr(float(lb.size_cm))]
+             for row, lb in zip(_repr_rows(Z), labels)))
         _write_json(os.path.join(out, "run.json"),
                     {**stamp, "rows": len(labels)})
     print(f"wrote {len(labels)} latent rows of width {Z.shape[1] + 2}")
@@ -391,7 +363,7 @@ def cmd_evaluate(args):
     cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
                          ratio_pad=args.pad)
     out = _resolve_out(args.out)
-    model, _ = _load_model(args.model)
+    model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
     heads = _load_heads(args.heads)
     test_idx = dataset.indices("test")
@@ -463,11 +435,14 @@ def cmd_explain(args):
     cfg = resolve_config(args.config, seed=args.seed)
     if args.band:
         lo, hi = (float(v) for v in args.band.split(","))
+        if lo > hi:
+            raise UsageError(
+                f"size band lower bound exceeds upper bound: {args.band}")
         band = (lo, hi)
     else:
         band = cfg.size_band
     out = _resolve_out(args.out)
-    model, _ = _load_model(args.model)
+    model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
     heads = _load_heads(args.heads)
     cla = heads.get("mlp_cla") or heads.get("forest_cla")
@@ -523,32 +498,23 @@ def cmd_explain(args):
     })
     with _DirLock(out):
         I.write_importance_report(out, report, names, meta=stamp)
-        with open(os.path.join(out, "phi.csv"), "w", newline="") as fh:
-            fh.write("# config=" + json.dumps(stamp["config"],
-                                              sort_keys=True) + "\n")
-            w = csv.writer(fh)
-            w.writerow(["latent_index", "phi"])
-            for i, v in enumerate(report.phi):
-                w.writerow([i, repr(float(v))])
-        with open(os.path.join(out, "psi.csv"), "w", newline="") as fh:
-            fh.write("# config=" + json.dumps(stamp["config"],
-                                              sort_keys=True) + "\n")
-            w = csv.writer(fh)
-            w.writerow(["node", "psi", "rank"])
-            rank_of = {ch: r for r, ch in enumerate(report.ranking)}
-            for m, name in enumerate(names):
-                w.writerow([name, repr(float(report.psi[m])), rank_of[m]])
+        D.write_stamped_csv(
+            os.path.join(out, "phi.csv"), stamp["config"],
+            ["latent_index", "phi"],
+            ([i, repr(float(v))] for i, v in enumerate(report.phi)))
+        rank_of = {ch: r for r, ch in enumerate(report.ranking)}
+        D.write_stamped_csv(
+            os.path.join(out, "psi.csv"), stamp["config"],
+            ["node", "psi", "rank"],
+            ([name, repr(float(report.psi[m])), rank_of[m]]
+             for m, name in enumerate(names)))
         band_stack = np.stack(band_samples)
         for r, channel in enumerate(report.ranking[:5]):
-            path = os.path.join(out, f"top{r + 1}_{names[channel]}.csv")
-            with open(path, "w", newline="") as fh:
-                fh.write("# config=" + json.dumps(stamp["config"],
-                                                  sort_keys=True) + "\n")
-                w = csv.writer(fh)
-                w.writerow([f"sample_{k}" for k in range(len(band_samples))])
-                for t in range(band_stack.shape[1]):
-                    w.writerow([repr(float(band_stack[k, t, channel]))
-                                for k in range(len(band_samples))])
+            D.write_stamped_csv(
+                os.path.join(out, f"top{r + 1}_{names[channel]}.csv"),
+                stamp["config"],
+                [f"sample_{k}" for k in range(len(band_samples))],
+                _repr_rows(band_stack[:, :, channel].T))
     top = [names[c] for c in report.ranking[:5]]
     print(f"phi length {d} (sum {report.phi.sum():.6f}); top channels: "
           + ", ".join(top))

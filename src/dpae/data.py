@@ -1,19 +1,20 @@
-"""Synthetic loss-of-coolant transient dataset and its perturbation pipeline.
+"""Synthetic loss-of-coolant transient dataset and its perturbation primitives.
 
 A sample is a p x l matrix: p time samples (period 0.5 s) of l monitoring
 channels. Each channel follows one of six closed-form response templates
 whose rate and amplitude are smooth monotone functions of break size, with
 a location-dependent offset, so the labels stay recoverable downstream.
 
-The perturbation pipeline mirrors deployment defects: per-channel Gaussian
-noise at a target signal-to-noise ratio, then whole-patch masking after the
-channel-major patchify reshape.
+The perturbation primitives mirror deployment defects: per-channel Gaussian
+noise at a target signal-to-noise ratio (``add_noise``) and whole-patch
+masking (``mask_patches``) after the channel-major patchify reshape.
+``encoder.perturb_patches`` is the one place that composes them.
 """
 
 import csv
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -225,22 +226,10 @@ class Dataset:
 
 
 @dataclass
-class PerturbConfig:
-    snr_db: float
-    ratio_pad: float
-    rng_seed: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.ratio_pad <= 1.0):
-            raise ValueError("ratio_pad outside [0, 1]")
-
-
-@dataclass
 class PatchGrid:
     m: int
     D: int
     N: int
-    mask: np.ndarray = field(default=None)
 
     @classmethod
     def for_shape(cls, p, l, m):
@@ -386,12 +375,13 @@ def mask_patches(xp, ratio_pad, rng):
     return out, mask
 
 
-def perturb_sample(x, cfg, grid, rng):
-    """Apply noise then patch masking; return (input patches, clean patches, mask)."""
-    clean = patchify(x, grid)
-    noisy = patchify(add_noise(x, cfg.snr_db, rng), grid)
-    masked, mask = mask_patches(noisy, cfg.ratio_pad, rng)
-    return masked, clean, mask
+def write_stamped_csv(path, config, header, rows):
+    """CSV whose first line is ``# config=`` and the sorted-key config JSON."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# config=" + json.dumps(config, sort_keys=True) + "\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def save_dataset(dataset, out_dir, meta=None):

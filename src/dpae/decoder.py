@@ -7,35 +7,10 @@ Row 0 is then dropped and the patch rows are folded back to the p x l
 monitoring matrix.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .encoder import _init_block, transformer_block, xavier_uniform
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    D: int = 40
-    N: int = 190
-    depth: int = 4
-    heads: int = 4
-    mlp_ratio: float = 0.8
-    dropout: float = 0.1
-    latent_dim: int = 128
-
-    def __post_init__(self):
-        if self.D % self.heads != 0:
-            raise ValueError(f"D={self.D} not divisible by heads={self.heads}")
-
-    @property
-    def head_dim(self):
-        return self.D // self.heads
-
-    @property
-    def mlp_hidden(self):
-        return int(round(self.mlp_ratio * self.D))
 
 
 def compute_pe(rows, cols):
@@ -54,35 +29,35 @@ def compute_pe(rows, cols):
     return pe
 
 
-def init_decoder_params(cfg, rng):
+def init_decoder_params(profile, rng):
     """Fresh decoder parameters; the positional table is not among them."""
     params = {}
-    nd = cfg.N * cfg.D
+    nd = profile.N * profile.D
     params["dec.expand.w"] = T.Parameter(
-        xavier_uniform(rng, (cfg.latent_dim, nd), cfg.latent_dim, nd),
+        xavier_uniform(rng, (profile.latent_dim, nd), profile.latent_dim, nd),
         "dec.expand.w",
     )
     params["dec.expand.b"] = T.Parameter(np.zeros((1, nd)), "dec.expand.b")
-    for b in range(cfg.depth):
-        _init_block(params, f"dec.block{b}", rng, cfg.D, cfg.heads,
-                    cfg.head_dim, cfg.mlp_hidden)
+    for b in range(profile.depth_dec):
+        _init_block(params, f"dec.block{b}", rng, profile)
     return params
 
 
-def expand_latent(latent, params, cfg):
+def expand_latent(latent, params, profile):
     """Single fully connected layer d -> N*D, reshaped row-major to N x D."""
     z = T.add(T.matmul(latent, params["dec.expand.w"]), params["dec.expand.b"])
-    return T.reshape(z, (cfg.N, cfg.D))
+    return T.reshape(z, (profile.N, profile.D))
 
 
-def decode(latent, class_row, params, cfg, grid, pe_table,
+def decode(latent, class_row, params, profile, grid, pe_table,
            train_mode=False, rng=None):
     """(latent, encoded class token) -> reconstructed p x l matrix."""
-    xp = expand_latent(latent, params, cfg)
+    xp = expand_latent(latent, params, profile)
     seq = T.concat_rows([class_row, xp])
     seq = T.add(seq, T.Tensor(pe_table))
-    for b in range(cfg.depth):
-        seq = transformer_block(seq, params, f"dec.block{b}", cfg, train_mode, rng)
-    patches = T.slice_rows(seq, 1, cfg.N + 1)
+    for b in range(profile.depth_dec):
+        seq = transformer_block(seq, params, f"dec.block{b}", profile,
+                                train_mode, rng)
+    patches = T.slice_rows(seq, 1, profile.N + 1)
     l = grid.N // grid.m
     return T.transpose(T.reshape(patches, (l, grid.m * grid.D)))

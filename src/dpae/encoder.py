@@ -8,7 +8,6 @@ and a three-layer MLP expands the final cell state to the latent.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,34 +15,8 @@ from . import tensor as T
 from .data import add_noise, mask_patches, patchify
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    D: int = 40
-    N: int = 190
-    depth: int = 4
-    heads: int = 4
-    mlp_ratio: float = 0.8
-    dropout: float = 0.1
-    lstm_layers: int = 2
-    lstm_hidden: int = 40
-    latent_dim: int = 128
-    head_widths: tuple = (64, 96)
-
-    def __post_init__(self):
-        if self.D <= 0 or self.N <= 0 or self.depth <= 0 or self.heads <= 0:
-            raise ValueError("all encoder dimensions must be positive")
-        if self.D % self.heads != 0:
-            raise ValueError(f"D={self.D} not divisible by heads={self.heads}")
-        if len(self.head_widths) != 2:
-            raise ValueError("latent head takes exactly two hidden widths")
-
-    @property
-    def head_dim(self):
-        return self.D // self.heads
-
-    @property
-    def mlp_hidden(self):
-        return int(round(self.mlp_ratio * self.D))
+# Stacked LSTM passes between the transformer blocks and the latent head.
+LSTM_LAYERS = 2
 
 
 def xavier_uniform(rng, shape, fan_in, fan_out):
@@ -51,7 +24,9 @@ def xavier_uniform(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _init_block(params, prefix, rng, D, heads, head_dim, hidden):
+def _init_block(params, prefix, rng, profile):
+    D, heads, head_dim = profile.D, profile.heads, profile.head_dim
+    hidden = profile.mlp_hidden
     params[f"{prefix}.ln1.gain"] = T.Parameter(np.ones((1, D)), f"{prefix}.ln1.gain")
     params[f"{prefix}.ln1.bias"] = T.Parameter(np.zeros((1, D)), f"{prefix}.ln1.bias")
     params[f"{prefix}.ln2.gain"] = T.Parameter(np.ones((1, D)), f"{prefix}.ln2.gain")
@@ -75,21 +50,21 @@ def _init_block(params, prefix, rng, D, heads, head_dim, hidden):
     params[f"{prefix}.mlp.b2"] = T.Parameter(np.zeros((1, D)), f"{prefix}.mlp.b2")
 
 
-def init_encoder_params(cfg, rng):
+def init_encoder_params(profile, rng):
     """Fresh encoder parameters, deterministic given the rng state."""
     params = {}
     params["enc.class_token"] = T.Parameter(
-        rng.normal(0.0, 0.02, size=(1, cfg.D)), "enc.class_token"
+        rng.normal(0.0, 0.02, size=(1, profile.D)), "enc.class_token"
     )
     params["enc.pos_encoding"] = T.Parameter(
-        rng.normal(0.0, 0.02, size=(cfg.N + 1, cfg.D)), "enc.pos_encoding"
+        rng.normal(0.0, 0.02, size=(profile.N + 1, profile.D)),
+        "enc.pos_encoding",
     )
-    for b in range(cfg.depth):
-        _init_block(params, f"enc.block{b}", rng, cfg.D, cfg.heads,
-                    cfg.head_dim, cfg.mlp_hidden)
-    width_in = cfg.D
-    for layer in range(cfg.lstm_layers):
-        h = cfg.lstm_hidden
+    for b in range(profile.depth_enc):
+        _init_block(params, f"enc.block{b}", rng, profile)
+    width_in = profile.D
+    for layer in range(LSTM_LAYERS):
+        h = profile.lstm_hidden
         params[f"enc.lstm{layer}.w_ih"] = T.Parameter(
             xavier_uniform(rng, (width_in, 4 * h), width_in, 4 * h),
             f"enc.lstm{layer}.w_ih",
@@ -101,7 +76,8 @@ def init_encoder_params(cfg, rng):
             np.zeros((1, 4 * h)), f"enc.lstm{layer}.bias"
         )
         width_in = h
-    widths = (cfg.lstm_hidden,) + tuple(cfg.head_widths) + (cfg.latent_dim,)
+    widths = ((profile.lstm_hidden,) + tuple(profile.head_widths)
+              + (profile.latent_dim,))
     for i in range(3):
         params[f"enc.latent.w{i}"] = T.Parameter(
             xavier_uniform(rng, (widths[i], widths[i + 1]), widths[i], widths[i + 1]),
@@ -121,15 +97,15 @@ def preprocess(xp_masked, params):
     return T.add(seq, params["enc.pos_encoding"])
 
 
-def msa(x, params, prefix, cfg):
+def msa(x, params, prefix, profile):
     """Multi-headed self-attention over the rows of x."""
-    dh = cfg.head_dim
+    dh = profile.head_dim
     qkv_w = T.concat_cols(
-        [params[f"{prefix}.head{h}.qkv"] for h in range(cfg.heads)]
+        [params[f"{prefix}.head{h}.qkv"] for h in range(profile.heads)]
     )
     qkv = T.matmul(x, qkv_w)
     heads_out = []
-    for h in range(cfg.heads):
+    for h in range(profile.heads):
         base = 3 * dh * h
         q = T.slice_cols(qkv, base, base + dh)
         k = T.slice_cols(qkv, base + dh, base + 2 * dh)
@@ -139,21 +115,21 @@ def msa(x, params, prefix, cfg):
     return T.matmul(T.concat_cols(heads_out), params[f"{prefix}.proj"])
 
 
-def transformer_block(x, params, prefix, cfg, train_mode=False, rng=None):
+def transformer_block(x, params, prefix, profile, train_mode=False, rng=None):
     """Pre-norm residual block: attention branch, then MLP branch."""
     attn = msa(T.layer_norm(x, params[f"{prefix}.ln1.gain"],
-                            params[f"{prefix}.ln1.bias"]), params, prefix, cfg)
-    attn = T.dropout(attn, cfg.dropout, train_mode, rng)
+                            params[f"{prefix}.ln1.bias"]), params, prefix, profile)
+    attn = T.dropout(attn, profile.dropout, train_mode, rng)
     x = T.add(x, attn)
     h = T.layer_norm(x, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
     h = T.gelu(T.add(T.matmul(h, params[f"{prefix}.mlp.w1"]),
                      params[f"{prefix}.mlp.b1"]))
-    h = T.dropout(h, cfg.dropout, train_mode, rng)
+    h = T.dropout(h, profile.dropout, train_mode, rng)
     h = T.add(T.matmul(h, params[f"{prefix}.mlp.w2"]), params[f"{prefix}.mlp.b2"])
     return T.add(x, h)
 
 
-def lstm_traverse(seq, params, cfg):
+def lstm_traverse(seq, params, profile):
     """Two stacked LSTM passes over the rows, class token (row 0) fed last.
 
     Returns the final cell state of the top layer.
@@ -162,12 +138,12 @@ def lstm_traverse(seq, params, cfg):
     order = list(range(1, n_rows)) + [0]
     inputs = [T.slice_rows(seq, i, i + 1) for i in order]
     cell = None
-    for layer in range(cfg.lstm_layers):
+    for layer in range(LSTM_LAYERS):
         w_ih = params[f"enc.lstm{layer}.w_ih"]
         w_hh = params[f"enc.lstm{layer}.w_hh"]
         bias = params[f"enc.lstm{layer}.bias"]
-        h = T.Tensor(np.zeros((1, cfg.lstm_hidden)))
-        c = T.Tensor(np.zeros((1, cfg.lstm_hidden)))
+        h = T.Tensor(np.zeros((1, profile.lstm_hidden)))
+        c = T.Tensor(np.zeros((1, profile.lstm_hidden)))
         outputs = []
         for x_t in inputs:
             hc = T.lstm_cell(x_t, h, c, w_ih, w_hh, bias)
@@ -190,27 +166,36 @@ def latent_head(cell, params):
     return z
 
 
-def run_encoder(xp_masked, params, cfg, train_mode=False, rng=None):
+def run_encoder(xp_masked, params, profile, train_mode=False, rng=None):
     """Patch rows -> (latent 1 x d, post-transformer class-token row 1 x D)."""
     seq = preprocess(xp_masked, params)
-    for b in range(cfg.depth):
-        seq = transformer_block(seq, params, f"enc.block{b}", cfg, train_mode, rng)
+    for b in range(profile.depth_enc):
+        seq = transformer_block(seq, params, f"enc.block{b}", profile,
+                                train_mode, rng)
     class_row = T.slice_rows(seq, 0, 1)
-    latent = latent_head(lstm_traverse(seq, params, cfg), params)
+    latent = latent_head(lstm_traverse(seq, params, profile), params)
     return latent, class_row
 
 
-def encode(x, perturb, params, cfg, grid, train_mode=False, rng=None):
+def perturb_patches(x, snr_db, ratio_pad, grid, rng):
+    """The one perturbation path: noise at snr_db, then patch masking.
+
+    Noise is drawn from ``rng`` before the masked rows, an order that the
+    training loss histories depend on. Returns (N x D patches, row mask).
+    """
+    return mask_patches(patchify(add_noise(x, snr_db, rng), grid), ratio_pad, rng)
+
+
+def encode(x, perturb, params, profile, grid, train_mode=False, rng=None):
     """Full monitoring matrix -> latent, with optional perturbation.
 
     ``perturb`` of None patchifies x directly with an empty mask; otherwise
-    noise and patch masking are applied with ``rng`` before encoding.
+    it is an (snr_db, ratio_pad) pair applied with ``rng`` before encoding.
     """
     if perturb is None:
         xp = patchify(x, grid)
         mask = np.zeros(grid.N, dtype=bool)
     else:
-        noisy = add_noise(x, perturb.snr_db, rng)
-        xp, mask = mask_patches(patchify(noisy, grid), perturb.ratio_pad, rng)
-    latent, class_row = run_encoder(xp, params, cfg, train_mode, rng)
+        xp, mask = perturb_patches(x, *perturb, grid, rng)
+    latent, class_row = run_encoder(xp, params, profile, train_mode, rng)
     return latent, class_row, mask

@@ -241,25 +241,6 @@ def region_grid(model):
     return h, model.profile.p // h
 
 
-def ablate_encoder(model, x, channel, region, baseline=0.5, signed=False):
-    """Latent shift from overwriting one half-patch region with the baseline.
-
-    Runs two eval-mode encodes (no noise, no masking) and differences the
-    latents; returns |delta| by default, the signed delta on request.
-    """
-    x = np.asarray(x, dtype=float)
-    h, n_regions = region_grid(model)
-    if not (0 <= channel < model.profile.l):
-        raise ValueError(f"channel {channel} out of range")
-    if not (0 <= region < n_regions):
-        raise ValueError(f"region {region} out of range (0..{n_regions - 1})")
-    z0 = model.latent_vector(x)
-    ablated = x.copy()
-    ablated[region * h:(region + 1) * h, channel] = baseline
-    delta = model.latent_vector(ablated) - z0
-    return delta if signed else np.abs(delta)
-
-
 def psi_from_omega(omega, phi):
     """Collapse the ablation tensor with latent weights.
 

@@ -6,8 +6,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import PatchGrid
-from .decoder import DecoderConfig, compute_pe, decode, init_decoder_params
-from .encoder import EncoderConfig, encode, init_encoder_params
+from .decoder import compute_pe, decode, init_decoder_params
+from .encoder import encode, init_encoder_params
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,14 @@ class ModelProfile:
     mlp_ratio: float = 0.8
     dropout: float = 0.1
 
+    def __post_init__(self):
+        if min(self.D, self.N, self.depth_enc, self.heads) <= 0:
+            raise ValueError("all encoder dimensions must be positive")
+        if self.D % self.heads != 0:
+            raise ValueError(f"D={self.D} not divisible by heads={self.heads}")
+        if len(self.head_widths) != 2:
+            raise ValueError("latent head takes exactly two hidden widths")
+
     @property
     def D(self):
         return self.p // self.m
@@ -34,23 +42,16 @@ class ModelProfile:
     def N(self):
         return self.l * self.m
 
+    @property
+    def head_dim(self):
+        return self.D // self.heads
+
+    @property
+    def mlp_hidden(self):
+        return int(round(self.mlp_ratio * self.D))
+
     def grid(self):
         return PatchGrid.for_shape(self.p, self.l, self.m)
-
-    def encoder_config(self):
-        return EncoderConfig(
-            D=self.D, N=self.N, depth=self.depth_enc, heads=self.heads,
-            mlp_ratio=self.mlp_ratio, dropout=self.dropout,
-            lstm_hidden=self.lstm_hidden, latent_dim=self.latent_dim,
-            head_widths=self.head_widths,
-        )
-
-    def decoder_config(self):
-        return DecoderConfig(
-            D=self.D, N=self.N, depth=self.depth_dec, heads=self.heads,
-            mlp_ratio=self.mlp_ratio, dropout=self.dropout,
-            latent_dim=self.latent_dim,
-        )
 
 
 # Full-size profile: 200 x 38 transients, 40-wide patches, 128-d latent.
@@ -73,25 +74,21 @@ class DPAE:
         self.profile = profile
         self.seed = seed
         self.grid = profile.grid()
-        self.enc_cfg = profile.encoder_config()
-        self.dec_cfg = profile.decoder_config()
         self.pe_table = compute_pe(profile.N + 1, profile.D)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.params = init_encoder_params(self.enc_cfg, rng)
-        self.params.update(init_decoder_params(self.dec_cfg, rng))
-
-    def parameters(self):
-        return self.params
+        self.params = init_encoder_params(profile, rng)
+        self.params.update(init_decoder_params(profile, rng))
 
     def parameter_count(self):
         return sum(p.data.size for p in self.params.values())
 
     def encode(self, x, perturb=None, train_mode=False, rng=None):
-        return encode(x, perturb, self.params, self.enc_cfg, self.grid,
+        """x -> (latent, class row, mask); perturb is (snr_db, ratio_pad)."""
+        return encode(x, perturb, self.params, self.profile, self.grid,
                       train_mode, rng)
 
     def decode(self, latent, class_row, train_mode=False, rng=None):
-        return decode(latent, class_row, self.params, self.dec_cfg, self.grid,
+        return decode(latent, class_row, self.params, self.profile, self.grid,
                       self.pe_table, train_mode, rng)
 
     def reconstruct(self, x, perturb=None, train_mode=False, rng=None):
@@ -100,7 +97,7 @@ class DPAE:
         recon = self.decode(latent, class_row, train_mode, rng)
         return recon, latent, mask
 
-    def latent_vector(self, x, perturb=None, rng=None):
-        """Evaluation-mode latent as a flat ndarray of length d."""
-        latent, _, _ = self.encode(x, perturb, train_mode=False, rng=rng)
+    def latent_vector(self, x):
+        """Eval-mode latent of an unperturbed x as a flat ndarray of length d."""
+        latent, _, _ = self.encode(x)
         return latent.data.reshape(-1).copy()

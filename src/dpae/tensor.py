@@ -467,21 +467,6 @@ def cross_entropy_logits(logits: Tensor, onehot: np.ndarray) -> Tensor:
     return out
 
 
-ELEMENTWISE_UNARY = {"sigmoid": sigmoid, "tanh": tanh, "gelu": gelu}
-ELEMENTWISE_BINARY = {"add": add, "hadamard": hadamard}
-
-
-def elementwise(kind: str, *args) -> Tensor:
-    """Dispatch table mirror for the elementwise op family."""
-    if kind in ELEMENTWISE_UNARY:
-        (a,) = args
-        return ELEMENTWISE_UNARY[kind](a)
-    if kind in ELEMENTWISE_BINARY:
-        a, b = args
-        return ELEMENTWISE_BINARY[kind](a, b)
-    raise ValueError(f"unknown elementwise kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # backward sweep
 

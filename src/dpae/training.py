@@ -7,7 +7,6 @@ Checkpoints are a JSON manifest plus a flat little-endian float64 payload
 and round-trip bit-exactly.
 """
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import PerturbConfig, perturb_sample
+from .data import write_stamped_csv
 from .model import DPAE, ModelProfile
 
 DEFAULT_CURRICULUM = (
@@ -106,8 +105,7 @@ def nadam_step(params, grads, state, lr):
 def train_step(x, model, state, config, rng):
     """One sample through the full perturbation schedule; returns the losses."""
     losses = []
-    for snr, pad in config.curriculum:
-        perturb = PerturbConfig(snr_db=snr, ratio_pad=pad, rng_seed=0)
+    for perturb in config.curriculum:
         recon, _, _ = model.reconstruct(x, perturb=perturb, train_mode=True,
                                         rng=rng)
         loss = mse_loss(x, recon)
@@ -161,13 +159,11 @@ def train(dataset, model, config, out_dir=None, log_every=0):
 
 
 def write_loss_history(path, history, config):
-    with open(path, "w", newline="") as fh:
-        fh.write("# config=" + json.dumps(_config_dict(config), sort_keys=True) + "\n")
-        w = csv.writer(fh)
-        w.writerow(["epoch", "sample", "curriculum", "snr", "pad", "loss"])
-        for row in history:
-            w.writerow([row[0], row[1], row[2], repr(float(row[3])),
-                        repr(float(row[4])), repr(float(row[5]))])
+    write_stamped_csv(
+        path, _config_dict(config),
+        ["epoch", "sample", "curriculum", "snr", "pad", "loss"],
+        ([e, si, ci] + [repr(float(v)) for v in (snr, pad, loss)]
+         for e, si, ci, snr, pad, loss in history))
 
 
 def _config_dict(config):
@@ -211,9 +207,8 @@ def load_params(dir_path):
     """Read back (manifest meta, {name: ndarray})."""
     with open(os.path.join(dir_path, "manifest.json")) as fh:
         manifest = json.load(fh)
-    flat = np.frombuffer(
-        open(os.path.join(dir_path, "params.bin"), "rb").read(), dtype="<f8"
-    ).astype(np.float64)
+    with open(os.path.join(dir_path, "params.bin"), "rb") as fh:
+        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
     if flat.size != manifest["total_size"]:
         raise IOError(f"payload size {flat.size} != manifest {manifest['total_size']}")
     values = {}

@@ -24,7 +24,7 @@ from dpae import tensor as T
 from dpae import training as TR
 from dpae.cli import _gradcheck_ops
 from dpae.model import DPAE, DESK_PROFILE, PAPER_PROFILE, ModelProfile
-from dpae.encoder import preprocess
+from dpae.encoder import perturb_patches, preprocess
 
 MASTER_SEEDS = (0, 1, 2)
 ZERO_SENS_CHANNELS = (4,)
@@ -47,9 +47,7 @@ def _derived_seed(*key):
 
 
 def _perturb(x, snr_db, ratio_pad, grid, rng):
-    noisy = D.add_noise(x, snr_db, rng)
-    patches, _ = D.mask_patches(D.patchify(noisy, grid), ratio_pad, rng)
-    return D.unpatchify(patches, grid)
+    return D.unpatchify(perturb_patches(x, snr_db, ratio_pad, grid, rng)[0], grid)
 
 
 @pytest.fixture(scope="session")

@@ -364,9 +364,10 @@ class TestExitCodesAndLocking:
         assert not os.path.exists(os.path.join(ws.data, cli.LOCK_NAME))
 
     def test_malformed_band_is_usage_error(self, ws, tmp_path):
-        assert run_cli("explain", "--model", ws.ckpt, "--data", ws.data,
-                       "--heads", ws.heads, "--out", str(tmp_path / "e"),
-                       "--band", "abc", "--seed", SEED) == 1
+        for band in ("abc", "14,6"):
+            assert run_cli("explain", "--model", ws.ckpt, "--data", ws.data,
+                           "--heads", ws.heads, "--out", str(tmp_path / "e"),
+                           "--band", band, "--seed", SEED) == 1, band
 
 
 class TestOutputRoot:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpae import data as D
+from dpae.encoder import perturb_patches
 
 
 class TestRegistry:
@@ -283,16 +284,21 @@ class TestDiskFormat:
         assert first.split(",") == [c.node_name for c in ds.registry]
 
 
-def test_perturb_sample_pipeline():
+def test_perturb_patches_matches_hand_composition():
     ds = D.generate_dataset(4, seed=23, p=40, registry=D.compact_registry())
-    norm = D.normalize(ds)
+    x = D.normalize(ds).samples[0].matrix
     grid = D.PatchGrid.for_shape(40, 8, 4)
-    cfg = D.PerturbConfig(snr_db=20.0, ratio_pad=0.25, rng_seed=0)
-    rng = np.random.default_rng(cfg.rng_seed)
-    masked, clean, mask = D.perturb_sample(norm.samples[0].matrix, cfg, grid, rng)
-    assert masked.shape == clean.shape == (32, 10)
-    assert mask.sum() == 8
-    assert not masked[mask].any()
-    np.testing.assert_array_equal(
-        clean, D.patchify(norm.samples[0].matrix, grid)
-    )
+    patches, mask = perturb_patches(x, 20.0, 0.25, grid,
+                                    np.random.default_rng(0))
+
+    # Noise is drawn first, then the masked rows, from the same stream.
+    rng = np.random.default_rng(0)
+    var = np.mean(np.square(x), axis=0) * 10.0 ** (-20.0 / 10.0)
+    noisy = x + rng.normal(0.0, 1.0, size=x.shape) * np.sqrt(var)
+    rows = rng.choice(grid.N, size=8, replace=False)
+    want = D.patchify(noisy, grid)
+    want[rows] = 0.0
+
+    assert patches.shape == (32, 10)
+    assert sorted(np.nonzero(mask)[0]) == sorted(rows)
+    np.testing.assert_array_equal(patches, want)

@@ -234,7 +234,8 @@ class TestAblation:
         x = rng.uniform(0.2, 0.8, size=(TINY.p, TINY.l))
         h, _ = I.region_grid(model)
         x[0:h, 0] = 0.5
-        omega = I.ablate_encoder(model, x, channel=0, region=0)
+        phi = np.full(TINY.latent_dim, 1.0 / TINY.latent_dim)
+        omega = I.parameter_importance(model, [x], phi).omega[0, 0]
         np.testing.assert_allclose(omega, 0.0, atol=1e-15)
 
     def test_matches_two_independent_passes(self):
@@ -242,28 +243,13 @@ class TestAblation:
         rng = np.random.default_rng(16)
         x = rng.uniform(0.0, 1.0, size=(TINY.p, TINY.l))
         h, _ = I.region_grid(model)
-        omega = I.ablate_encoder(model, x, channel=1, region=3)
+        phi = np.full(TINY.latent_dim, 1.0 / TINY.latent_dim)
+        omega = I.parameter_importance(model, [x], phi).omega[1, 3]
 
         ablated = x.copy()
         ablated[3 * h:4 * h, 1] = 0.5
         expected = np.abs(model.latent_vector(ablated) - model.latent_vector(x))
         np.testing.assert_array_equal(omega, expected)
-
-    def test_signed_consistent_with_absolute(self):
-        model = DPAE(TINY, seed=17)
-        rng = np.random.default_rng(18)
-        x = rng.uniform(0.0, 1.0, size=(TINY.p, TINY.l))
-        signed = I.ablate_encoder(model, x, 0, 1, signed=True)
-        absolute = I.ablate_encoder(model, x, 0, 1)
-        np.testing.assert_array_equal(np.abs(signed), absolute)
-
-    def test_out_of_range_rejected(self):
-        model = DPAE(TINY, seed=19)
-        x = np.zeros((TINY.p, TINY.l))
-        with pytest.raises(ValueError):
-            I.ablate_encoder(model, x, channel=TINY.l, region=0)
-        with pytest.raises(ValueError):
-            I.ablate_encoder(model, x, channel=0, region=99)
 
 
 class TestParameterImportance:

@@ -6,7 +6,7 @@ import pytest
 from dpae import decoder as dec
 from dpae import encoder as enc
 from dpae import tensor as T
-from dpae.data import PatchGrid, PerturbConfig, patchify
+from dpae.data import PatchGrid, add_noise, mask_patches, patchify
 from dpae.model import DESK_PROFILE, PAPER_PROFILE, DPAE, ModelProfile
 
 # Tiny profile for gradient checks: every mechanism present, few parameters.
@@ -19,16 +19,19 @@ def toy_model(seed=0):
 
 
 class TestEncoderConfig:
+    """The encoder's dimensions, as carried by ModelProfile."""
+
     def test_defaults_match_full_profile(self):
-        cfg = enc.EncoderConfig()
-        assert (cfg.D, cfg.N, cfg.depth, cfg.heads) == (40, 190, 4, 4)
+        cfg = PAPER_PROFILE
+        assert (cfg.D, cfg.N, cfg.depth_enc, cfg.heads) == (40, 190, 4, 4)
         assert cfg.head_dim == 10
         assert cfg.mlp_hidden == 32
         assert cfg.latent_dim == 128
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
-            enc.EncoderConfig(D=40, heads=3)
+            ModelProfile(p=200, l=38, m=5, depth_enc=4, depth_dec=4, heads=3,
+                         latent_dim=128, lstm_hidden=40, head_widths=(64, 96))
 
     def test_unique_parameter_names(self):
         model = toy_model()
@@ -73,7 +76,7 @@ class TestPreprocess:
 class TestMsa:
     def test_single_row_equals_projected_value(self):
         model = toy_model(seed=5)
-        cfg = model.enc_cfg
+        cfg = model.profile
         x = T.Tensor(np.random.default_rng(2).normal(size=(1, TOY.D)))
         out = enc.msa(x, model.params, "enc.block0", cfg)
         dh = cfg.head_dim
@@ -88,7 +91,7 @@ class TestMsa:
         model = toy_model(seed=6)
         model.params["enc.block0.proj"].data[:] = 0.0
         x = T.Tensor(np.random.default_rng(3).normal(size=(5, TOY.D)))
-        out = enc.msa(x, model.params, "enc.block0", model.enc_cfg)
+        out = enc.msa(x, model.params, "enc.block0", model.profile)
         np.testing.assert_array_equal(out.data, np.zeros((5, TOY.D)))
 
     def test_row_permutation_equivariance(self):
@@ -96,8 +99,8 @@ class TestMsa:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, TOY.D))
         perm = rng.permutation(6)
-        out = enc.msa(T.Tensor(x), model.params, "enc.block0", model.enc_cfg)
-        out_p = enc.msa(T.Tensor(x[perm]), model.params, "enc.block0", model.enc_cfg)
+        out = enc.msa(T.Tensor(x), model.params, "enc.block0", model.profile)
+        out_p = enc.msa(T.Tensor(x[perm]), model.params, "enc.block0", model.profile)
         np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-12)
 
 
@@ -109,21 +112,21 @@ class TestTransformerBlock:
         model.params["enc.block0.mlp.b2"].data[:] = 0.0
         x = np.random.default_rng(5).normal(size=(4, TOY.D))
         out = enc.transformer_block(T.Tensor(x), model.params, "enc.block0",
-                                    model.enc_cfg)
+                                    model.profile)
         np.testing.assert_allclose(out.data, x, atol=1e-15)
 
     def test_eval_mode_deterministic(self):
         model = toy_model(seed=9)
         x = np.random.default_rng(6).normal(size=(4, TOY.D))
         a = enc.transformer_block(T.Tensor(x), model.params, "enc.block0",
-                                  model.enc_cfg)
+                                  model.profile)
         b = enc.transformer_block(T.Tensor(x), model.params, "enc.block0",
-                                  model.enc_cfg)
+                                  model.profile)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_gradient_through_block(self):
         model = toy_model(seed=10)
-        cfg = model.enc_cfg
+        cfg = model.profile
         x = np.random.default_rng(7).normal(size=(3, TOY.D))
         block = {k: v for k, v in model.params.items() if k.startswith("enc.block0")}
 
@@ -142,7 +145,7 @@ class TestLstmTraverse:
             model.params[f"enc.lstm{layer}.w_ih"].data[:] = 0.0
             model.params[f"enc.lstm{layer}.w_hh"].data[:] = 0.0
         seq = T.Tensor(np.random.default_rng(8).normal(size=(TOY.N + 1, TOY.D)))
-        out = enc.lstm_traverse(seq, model.params, model.enc_cfg)
+        out = enc.lstm_traverse(seq, model.params, model.profile)
         np.testing.assert_array_equal(out.data, np.zeros((1, TOY.lstm_hidden)))
 
     def test_class_token_consumed_last(self):
@@ -155,8 +158,8 @@ class TestLstmTraverse:
         model.params["enc.lstm0.w_ih"].data[:] = 0.0
         seq_a = T.Tensor(np.random.default_rng(9).normal(size=(TOY.N + 1, TOY.D)))
         seq_b = T.Tensor(np.zeros((TOY.N + 1, TOY.D)))
-        out_a = enc.lstm_traverse(seq_a, model.params, model.enc_cfg)
-        out_b = enc.lstm_traverse(seq_b, model.params, model.enc_cfg)
+        out_a = enc.lstm_traverse(seq_a, model.params, model.profile)
+        out_b = enc.lstm_traverse(seq_b, model.params, model.profile)
         np.testing.assert_allclose(out_a.data, out_b.data, atol=1e-12)
 
     def test_gradient_through_traversal(self):
@@ -166,7 +169,7 @@ class TestLstmTraverse:
 
         def f():
             return T.mean_all(T.square(
-                enc.lstm_traverse(T.Tensor(seq), model.params, model.enc_cfg)
+                enc.lstm_traverse(T.Tensor(seq), model.params, model.profile)
             ))
 
         err = T.grad_check(f, lstm, eps=1e-5)
@@ -197,9 +200,9 @@ class TestEncode:
 
     def test_masked_rows_content_irrelevant(self):
         model = toy_model(seed=17)
-        cfg = PerturbConfig(snr_db=None, ratio_pad=0.5, rng_seed=99)
+        perturb = (None, 0.5)
         x = np.random.default_rng(13).uniform(0, 1, size=(TOY.p, TOY.l))
-        _, _, mask = model.encode(x, cfg, rng=np.random.default_rng(cfg.rng_seed))
+        _, _, mask = model.encode(x, perturb, rng=np.random.default_rng(99))
 
         # Rebuild a matrix differing only inside the masked patches.
         grid = model.grid
@@ -212,8 +215,8 @@ class TestEncode:
             for j in range(grid.m):
                 x2[j * grid.D:(j + 1) * grid.D, i] = xp2[i * grid.m + j]
 
-        a, _, m1 = model.encode(x, cfg, rng=np.random.default_rng(cfg.rng_seed))
-        b, _, m2 = model.encode(x2, cfg, rng=np.random.default_rng(cfg.rng_seed))
+        a, _, m1 = model.encode(x, perturb, rng=np.random.default_rng(99))
+        b, _, m2 = model.encode(x2, perturb, rng=np.random.default_rng(99))
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(a.data, b.data)
 
@@ -257,7 +260,7 @@ class TestDecode:
         model.params["dec.expand.w"].data[:] = 0.0
         model.params["dec.expand.b"].data[:] = 0.0
         latent = T.Tensor(np.random.default_rng(16).normal(size=(1, 128)))
-        out = dec.expand_latent(latent, model.params, model.dec_cfg)
+        out = dec.expand_latent(latent, model.params, model.profile)
         assert out.shape == (190, 40)
         assert not out.data.any()
 
@@ -267,7 +270,7 @@ class TestDecode:
         probe = {k: model.params[k] for k in ("dec.expand.w", "dec.expand.b")}
 
         def f():
-            out = dec.expand_latent(T.Tensor(latent), model.params, model.dec_cfg)
+            out = dec.expand_latent(T.Tensor(latent), model.params, model.profile)
             return T.mean_all(T.square(out))
 
         assert T.grad_check(f, probe, eps=1e-5) <= 1e-6
@@ -297,6 +300,27 @@ class TestDecode:
         # Top-|gradient| probe entries across every parameter tensor.
         err = T.grad_check(f, model.params, eps=1e-5, entries_per_param=2, order=4)
         assert err <= 1e-5
+
+    def test_train_mode_draw_order(self):
+        # Bit-identical loss histories rest on this rng order: noise, masked
+        # rows, then the encoder's and the decoder's dropout draws.
+        model = toy_model(seed=25)
+        x = np.random.default_rng(21).uniform(0, 1, size=(TOY.p, TOY.l))
+        recon, latent, mask = model.reconstruct(
+            x, perturb=(30.0, 0.2), train_mode=True,
+            rng=np.random.default_rng(7))
+
+        rng = np.random.default_rng(7)
+        noisy = add_noise(x, 30.0, rng)
+        xp, want_mask = mask_patches(patchify(noisy, model.grid), 0.2, rng)
+        want_latent, class_row = enc.run_encoder(xp, model.params, TOY,
+                                                 train_mode=True, rng=rng)
+        want = dec.decode(want_latent, class_row, model.params, TOY,
+                          model.grid, model.pe_table, train_mode=True, rng=rng)
+        assert want_mask.any()
+        np.testing.assert_array_equal(mask, want_mask)
+        np.testing.assert_array_equal(latent.data, want_latent.data)
+        np.testing.assert_array_equal(recon.data, want.data)
 
 
 class TestRoundTripShapes:

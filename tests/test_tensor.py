@@ -130,14 +130,6 @@ class TestElementwise:
         err = T.grad_check(lambda: T.sum_all(T.hadamard(a, b)), [a, b])
         assert err <= 1e-7
 
-    def test_dispatch_table(self):
-        x = T.Tensor([[0.0]])
-        assert T.elementwise("sigmoid", x).item() == 0.5
-        out = T.elementwise("add", T.Tensor([[1.0]]), T.Tensor([[2.0]]))
-        assert out.item() == 3.0
-        with pytest.raises(ValueError):
-            T.elementwise("nope", x)
-
 
 class TestBackward:
     def test_sum_of_parameter_gives_ones(self):

@@ -117,9 +117,8 @@ class TestTrainStep:
     def test_every_parameter_receives_gradient(self):
         ds = tiny_dataset()
         model = DPAE(TINY, seed=5)
-        perturb = D.PerturbConfig(snr_db=30.0, ratio_pad=0.2, rng_seed=0)
         rng = np.random.default_rng(6)
-        recon, _, _ = model.reconstruct(ds.samples[0].matrix, perturb,
+        recon, _, _ = model.reconstruct(ds.samples[0].matrix, (30.0, 0.2),
                                         train_mode=True, rng=rng)
         loss = TR.mse_loss(ds.samples[0].matrix, recon)
         T.zero_grads(model.params)
