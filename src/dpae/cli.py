@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def _write_json(path, payload):
 
 
 def _stamp(cfg, command, extra=None):
-    doc = {"command": command, "config": cfg.as_dict()}
+    doc = {"command": command, "config": asdict(cfg)}
     if extra:
         doc.update(extra)
     return doc
@@ -171,10 +172,7 @@ def cmd_train_dpae(args):
             f"dataset is {dataset.p}x{dataset.l}, profile expects "
             f"{profile.p}x{profile.l}")
     model = DPAE(profile, seed=cfg.seed)
-    extra = dict(cfg.train)
-    extra.pop("epochs", None)
-    extra.pop("seed", None)
-    train_cfg = TR.TrainConfig(epochs=cfg.epochs, seed=cfg.seed, **extra)
+    train_cfg = TR.TrainConfig(epochs=cfg.epochs, seed=cfg.seed, **cfg.train)
     with _DirLock(out):
         history, _ = TR.train(dataset, model, train_cfg, out_dir=out,
                               log_every=args.log_every)
@@ -277,11 +275,8 @@ def cmd_extract_latents(args):
 
 
 def _head_config(cfg, kind, offset):
-    base = dict(cfg.heads)
-    base.pop("kind", None)
-    base.pop("seed", None)
     return H.HeadConfig(kind=kind, seed=_sub_seed(cfg.seed, _TAG_HEAD, offset),
-                        **base)
+                        **cfg.heads)
 
 
 def cmd_train_heads(args):
@@ -344,16 +339,7 @@ def cmd_train_heads(args):
 
         _write_json(os.path.join(out, "fit_reports.json"), {
             **_stamp(cfg, "train-heads", {"heads": sorted(reports)}),
-            "reports": {
-                name: {
-                    "stopping_epoch": r.stopping_epoch,
-                    "param_count": r.param_count,
-                    "final_metrics": r.final_metrics,
-                    "train_curve": r.train_curve,
-                    "val_curve": r.val_curve,
-                }
-                for name, r in reports.items()
-            },
+            "reports": {name: asdict(r) for name, r in reports.items()},
         })
     print(f"fitted heads: {', '.join(sorted(reports))}")
     return 0
@@ -469,9 +455,6 @@ def cmd_explain(args):
     shap_kwargs = {"coalition_samples": 256, **cfg.shap}
     if args.coalitions is not None:
         shap_kwargs["coalition_samples"] = args.coalitions
-    if args.exact:
-        shap_kwargs["exact_mode"] = True
-    shap_kwargs.pop("seed", None)
     shap_cfg = I.ShapConfig(background=background, seed=cfg.seed,
                             **shap_kwargs)
     g_cla = I.classifier_fn(cla)
@@ -494,7 +477,6 @@ def cmd_explain(args):
         "explained_samples": [int(i) for i in chosen],
         "background_size": bg_count,
         "band_sample_count": len(band_samples),
-        "exact_mode": bool(args.exact),
     })
     with _DirLock(out):
         I.write_importance_report(out, report, names, meta=stamp)
@@ -727,7 +709,6 @@ def build_parser():
     p.add_argument("--explain-count", type=int, default=8)
     p.add_argument("--background-size", type=int, default=64)
     p.add_argument("--coalitions", type=int, default=None)
-    p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")

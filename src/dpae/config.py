@@ -11,12 +11,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from .interpret import DEFAULT_SIZE_BAND
+from .heads import HeadConfig
+from .interpret import DEFAULT_SIZE_BAND, ShapConfig
 from .model import DESK_PROFILE, PAPER_PROFILE
+from .training import TrainConfig
 
 SCALE_PRESETS = {
     "paper": {"count": 356, "epochs": 1000},
     "desk": {"count": 64, "epochs": 150},
+}
+
+# Each free-form section feeds one dataclass, minus the fields the command
+# line sets itself.
+SECTIONS = {
+    "train": (TrainConfig, {"epochs", "seed"}),
+    "heads": (HeadConfig, {"kind", "seed"}),
+    "shap": (ShapConfig, {"background", "seed", "exact_mode"}),
 }
 
 
@@ -44,23 +54,18 @@ class ExperimentConfig:
         self.size_band = (float(self.size_band[0]), float(self.size_band[1]))
         if not (self.size_band[0] <= self.size_band[1]):
             raise ValueError("size band lower bound exceeds upper bound")
+        for name, (cls, set_by_cli) in SECTIONS.items():
+            section = getattr(self, name)
+            if not isinstance(section, dict):
+                raise ValueError(f"config section {name!r} must be an object")
+            allowed = {f.name for f in fields(cls)} - set_by_cli
+            unknown = set(section) - allowed
+            if unknown:
+                raise ValueError(
+                    f"unknown {name} config keys: {sorted(unknown)}")
 
     def profile(self):
         return PAPER_PROFILE if self.scale == "paper" else DESK_PROFILE
-
-    def as_dict(self):
-        return {
-            "scale": self.scale,
-            "seed": self.seed,
-            "count": self.count,
-            "epochs": self.epochs,
-            "snr_db": self.snr_db,
-            "ratio_pad": self.ratio_pad,
-            "size_band": list(self.size_band),
-            "train": dict(self.train),
-            "heads": dict(self.heads),
-            "shap": dict(self.shap),
-        }
 
 
 def load_config_file(path):

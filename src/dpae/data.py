@@ -14,7 +14,7 @@ masking (``mask_patches``) after the channel-major patchify reshape.
 import csv
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -411,14 +411,7 @@ def save_dataset(dataset, out_dir, meta=None):
         "l": dataset.l,
         "normalized": dataset.normalized,
         "channels": [
-            {
-                "index": c.index,
-                "node_name": c.node_name,
-                "description": c.description,
-                "response_template": c.response_template.value,
-                "location_sensitivity": c.location_sensitivity,
-                "size_sensitivity": c.size_sensitivity,
-            }
+            {**asdict(c), "response_template": c.response_template.value}
             for c in dataset.registry
         ],
         "normalization": None if dataset.channel_min is None else {
@@ -436,14 +429,14 @@ def save_dataset(dataset, out_dir, meta=None):
 def load_dataset(in_dir):
     with open(os.path.join(in_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
-    registry = tuple(
-        ChannelSpec(
-            c["index"], c["node_name"], c["description"],
-            ResponseTemplate(c["response_template"]),
-            c["location_sensitivity"], c["size_sensitivity"],
-        )
-        for c in manifest["channels"]
-    )
+    try:
+        registry = tuple(
+            ChannelSpec(**{**c, "response_template":
+                           ResponseTemplate(c["response_template"])})
+            for c in manifest["channels"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise IOError(f"dataset at {in_dir} has a malformed channel block: "
+                      f"{e}") from None
     samples, split = [], []
     for entry in manifest["samples"]:
         with open(os.path.join(in_dir, entry["file"]), newline="") as fh:

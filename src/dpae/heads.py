@@ -52,6 +52,8 @@ class HeadConfig:
     def __post_init__(self):
         if self.kind not in ("mlp", "random_forest", "end_to_end_mlp"):
             raise ValueError(f"unknown head kind {self.kind!r}")
+        if self.tree_count < 1:
+            raise ValueError("tree_count must be at least 1")
         if self.early_stop_window < 1:
             raise ValueError("early_stop_window must be at least 1")
         if not (self.early_stop_threshold > 0.0):
@@ -66,11 +68,11 @@ class HeadConfig:
 
 @dataclass
 class FitReport:
+    stopping_epoch: int = 0
+    param_count: int = 0
+    final_metrics: dict = field(default_factory=dict)
     train_curve: list = field(default_factory=list)
     val_curve: list = field(default_factory=list)
-    stopping_epoch: int = 0
-    final_metrics: dict = field(default_factory=dict)
-    param_count: int = 0
 
 
 @dataclass

@@ -376,13 +376,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
 def dropout(a: Tensor, rate: float, train: bool, rng=None) -> Tensor:
     """Inverted dropout; the identity in evaluation mode or at rate 0."""
     if not train or rate == 0.0:
-        out = Tensor(a.data, parents=(a,))
-
-        def backward(g):
-            _accum(a, g)
-
-        out._backward_fn = backward
-        return out
+        return a
     if rng is None:
         raise ValueError("dropout in train mode requires an rng")
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)

@@ -9,7 +9,7 @@ and round-trip bit-exactly.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -167,16 +167,9 @@ def write_loss_history(path, history, config):
 
 
 def _config_dict(config):
-    return {
-        "lr_ini": config.lr_ini,
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "eps": config.eps,
-        "momentum_decay": config.momentum_decay,
-        "epochs": config.epochs,
-        "curriculum": [list(c) for c in config.curriculum],
-        "seed": config.seed,
-    }
+    stamp = asdict(config)
+    del stamp["checkpoint_interval"]
+    return stamp
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +214,8 @@ def load_params(dir_path):
 
 
 def save_checkpoint(model, dir_path, config=None, history=None):
-    profile = model.profile
-    meta = {
-        "kind": "dpae",
-        "seed": model.seed,
-        "profile": {
-            "p": profile.p, "l": profile.l, "m": profile.m,
-            "depth_enc": profile.depth_enc, "depth_dec": profile.depth_dec,
-            "heads": profile.heads, "latent_dim": profile.latent_dim,
-            "lstm_hidden": profile.lstm_hidden,
-            "head_widths": list(profile.head_widths),
-            "mlp_ratio": profile.mlp_ratio, "dropout": profile.dropout,
-        },
-    }
+    meta = {"kind": "dpae", "seed": model.seed,
+            "profile": asdict(model.profile)}
     if config is not None:
         meta["train_config"] = _config_dict(config)
     if history:
@@ -253,14 +235,12 @@ def load_checkpoint(dir_path):
     if meta.get("kind") != "dpae":
         raise IOError(f"checkpoint at {dir_path} is not an autoencoder checkpoint")
     prof = meta["profile"]
-    profile = ModelProfile(
-        p=prof["p"], l=prof["l"], m=prof["m"],
-        depth_enc=prof["depth_enc"], depth_dec=prof["depth_dec"],
-        heads=prof["heads"], latent_dim=prof["latent_dim"],
-        lstm_hidden=prof["lstm_hidden"],
-        head_widths=tuple(prof["head_widths"]),
-        mlp_ratio=prof["mlp_ratio"], dropout=prof["dropout"],
-    )
+    try:
+        profile = ModelProfile(
+            **{**prof, "head_widths": tuple(prof["head_widths"])})
+    except (KeyError, TypeError, ValueError) as e:
+        raise IOError(f"checkpoint at {dir_path} has a malformed profile "
+                      f"block: {e}") from None
     model = DPAE(profile, seed=meta["seed"])
     if set(values) != set(model.params):
         raise IOError("checkpoint parameter names do not match the profile")

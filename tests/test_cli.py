@@ -112,9 +112,11 @@ class TestGenData:
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"bogus": 1}))
-        assert run_cli("gen-data", "--config", str(cfg_path),
-                       "--out", str(tmp_path / "x")) == 1
+        for doc in ({"bogus": 1}, {"train": {"bogus": 1}},
+                    {"heads": {"seed": 3}}, {"shap": {"background": [1]}}):
+            cfg_path.write_text(json.dumps(doc))
+            assert run_cli("gen-data", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "x")) == 1, doc
 
 
 class TestTrainDpae:

@@ -32,6 +32,8 @@ class TestLabelAndConfig:
             H.HeadConfig(kind="svm")
         with pytest.raises(ValueError):
             H.HeadConfig(val_fraction=1.0)
+        with pytest.raises(ValueError):
+            H.HeadConfig(tree_count=0)
 
 
 class TestEarlyStop:

@@ -210,6 +210,7 @@ class TestDropout:
         x = T.Tensor(rand((4, 4), seed=27))
         out = T.dropout(x, 0.5, train=False)
         np.testing.assert_array_equal(out.data, x.data)
+        assert out is x
 
     def test_train_mode_preserves_expectation(self):
         rng = np.random.default_rng(28)

@@ -1,5 +1,8 @@
 """Optimizer, loss, training-loop, and checkpoint tests."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -174,14 +177,19 @@ class TestTrainLoop:
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         ds = tiny_dataset()
-        model = DPAE(TINY, seed=17)
-        cfg = TR.TrainConfig(epochs=1, seed=18)
-        TR.train(ds, model, cfg, out_dir=tmp_path)
-        loaded, meta = TR.load_checkpoint(tmp_path / "checkpoint_final")
-        for k, p in model.params.items():
-            np.testing.assert_array_equal(loaded.params[k].data, p.data)
-        assert meta["profile"]["p"] == TINY.p
-        assert meta["loss_summary"]["steps"] == len(ds.indices("train")) * 5
+        for i, profile in enumerate(
+                (TINY, replace(TINY, mlp_ratio=0.5, dropout=0.0))):
+            model = DPAE(profile, seed=17)
+            cfg = TR.TrainConfig(epochs=1, seed=18)
+            TR.train(ds, model, cfg, out_dir=tmp_path / str(i))
+            loaded, meta = TR.load_checkpoint(
+                tmp_path / str(i) / "checkpoint_final")
+            assert loaded.profile == model.profile
+            for k, p in model.params.items():
+                np.testing.assert_array_equal(loaded.params[k].data, p.data)
+            assert meta["profile"]["p"] == TINY.p
+            assert meta["loss_summary"]["steps"] == \
+                len(ds.indices("train")) * 5
 
     def test_reload_reproduces_probe_latent(self, tmp_path):
         ds = tiny_dataset()
@@ -219,3 +227,11 @@ class TestCheckpoint:
             fh.write(b"\x00" * 8)
         with pytest.raises(IOError):
             TR.load_checkpoint(tmp_path / "ck")
+
+        TR.save_checkpoint(model, tmp_path / "extra")
+        manifest = tmp_path / "extra" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["meta"]["profile"]["bogus"] = 1
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(IOError):
+            TR.load_checkpoint(tmp_path / "extra")
