@@ -505,55 +505,45 @@ def cmd_explain(args):
 
 def _gradcheck_ops(seed):
     rng = np.random.default_rng(seed)
-    checks = []
-
-    a = T.Parameter(rng.normal(size=(3, 4)), "a")
-    b = T.Parameter(rng.normal(size=(4, 2)), "b")
-    checks.append(("matmul", lambda: T.mean_all(T.square(T.matmul(a, b))),
-                   {"a": a, "b": b}))
-
-    w = T.Parameter(rng.normal(size=(5, 3)), "w")
-    bias = T.Parameter(rng.normal(size=(1, 3)), "bias")
-    checks.append(("bias_add", lambda: T.mean_all(T.square(T.add(w, bias))),
-                   {"w": w, "bias": bias}))
-
-    for name, op in (("sigmoid", T.sigmoid), ("tanh", T.tanh),
-                     ("gelu", T.gelu)):
-        p = T.Parameter(rng.normal(size=(4, 4)), name)
-        checks.append((name, lambda p=p, op=op: T.mean_all(T.square(op(p))),
-                       {name: p}))
-
-    s = T.Parameter(rng.normal(size=(3, 5)), "s")
-    checks.append(("softmax", lambda: T.mean_all(T.square(T.softmax_rows(s))),
-                   {"s": s}))
-
-    xn = T.Parameter(rng.normal(size=(4, 6)), "xn")
-    gn = T.Parameter(rng.normal(size=(1, 6)), "gn")
-    bn = T.Parameter(rng.normal(size=(1, 6)), "bn")
-    checks.append(("layer_norm",
-                   lambda: T.mean_all(T.square(T.layer_norm(xn, gn, bn))),
-                   {"xn": xn, "gn": gn, "bn": bn}))
-
     hdim = 4
-    xl = T.Parameter(rng.normal(size=(1, 3)), "xl")
-    hl = T.Parameter(0.1 * rng.normal(size=(1, hdim)), "hl")
-    cl = T.Parameter(0.1 * rng.normal(size=(1, hdim)), "cl")
-    wih = T.Parameter(rng.normal(size=(3, 4 * hdim)) / np.sqrt(3), "wih")
-    whh = T.Parameter(rng.normal(size=(hdim, 4 * hdim)) / np.sqrt(hdim),
-                      "whh")
-    bl = T.Parameter(np.zeros((1, 4 * hdim)), "bl")
-    checks.append(("lstm_cell",
-                   lambda: T.mean_all(T.square(
-                       T.lstm_cell(xl, hl, cl, wih, whh, bl))),
-                   {"xl": xl, "hl": hl, "cl": cl, "wih": wih, "whh": whh,
-                    "bl": bl}))
-
-    logits = T.Parameter(rng.normal(size=(4, 3)), "logits")
+    P = T.parameters({
+        "a": rng.normal(size=(3, 4)),
+        "b": rng.normal(size=(4, 2)),
+        "w": rng.normal(size=(5, 3)),
+        "bias": rng.normal(size=(1, 3)),
+        "sigmoid": rng.normal(size=(4, 4)),
+        "tanh": rng.normal(size=(4, 4)),
+        "gelu": rng.normal(size=(4, 4)),
+        "s": rng.normal(size=(3, 5)),
+        "xn": rng.normal(size=(4, 6)),
+        "gn": rng.normal(size=(1, 6)),
+        "bn": rng.normal(size=(1, 6)),
+        "xl": rng.normal(size=(1, 3)),
+        "hl": 0.1 * rng.normal(size=(1, hdim)),
+        "cl": 0.1 * rng.normal(size=(1, hdim)),
+        "wih": rng.normal(size=(3, 4 * hdim)) / np.sqrt(3),
+        "whh": rng.normal(size=(hdim, 4 * hdim)) / np.sqrt(hdim),
+        "bl": np.zeros((1, 4 * hdim)),
+        "logits": rng.normal(size=(4, 3)),
+    })
     onehot = np.eye(3)[rng.integers(0, 3, size=4)]
-    checks.append(("cross_entropy",
-                   lambda: T.cross_entropy_logits(logits, onehot),
-                   {"logits": logits}))
-    return checks
+
+    def check(name, op, *names):
+        probed = {n: P[n] for n in names}
+        return name, lambda: T.mean_all(T.square(op(*probed.values()))), probed
+
+    return [
+        check("matmul", T.matmul, "a", "b"),
+        check("bias_add", T.add, "w", "bias"),
+        check("sigmoid", T.sigmoid, "sigmoid"),
+        check("tanh", T.tanh, "tanh"),
+        check("gelu", T.gelu, "gelu"),
+        check("softmax", T.softmax_rows, "s"),
+        check("layer_norm", T.layer_norm, "xn", "gn", "bn"),
+        check("lstm_cell", T.lstm_cell, "xl", "hl", "cl", "wih", "whh", "bl"),
+        ("cross_entropy", lambda: T.cross_entropy_logits(P["logits"], onehot),
+         {"logits": P["logits"]}),
+    ]
 
 
 _GRADCHECK_TOY = ModelProfile(p=12, l=2, m=3, depth_enc=1, depth_dec=1,

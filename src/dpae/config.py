@@ -29,6 +29,10 @@ SECTIONS = {
     "shap": (ShapConfig, {"background", "seed", "exact_mode"}),
 }
 
+# The JSON value a section field takes, by the type of its default; a JSON
+# true/false is never a number.
+JSON_NUMBERS = {int: ("integer", int), float: ("number", (int, float))}
+
 
 @dataclass
 class ExperimentConfig:
@@ -58,11 +62,19 @@ class ExperimentConfig:
             section = getattr(self, name)
             if not isinstance(section, dict):
                 raise ValueError(f"config section {name!r} must be an object")
-            allowed = {f.name for f in fields(cls)} - set_by_cli
-            unknown = set(section) - allowed
+            defaults = {f.name: f.default for f in fields(cls)
+                        if f.name not in set_by_cli}
+            unknown = set(section) - set(defaults)
             if unknown:
                 raise ValueError(
                     f"unknown {name} config keys: {sorted(unknown)}")
+            for key, value in section.items():
+                what, accepted = JSON_NUMBERS.get(type(defaults[key]),
+                                                  (None, object))
+                if what and (isinstance(value, bool)
+                             or not isinstance(value, accepted)):
+                    raise ValueError(f"config value {name}.{key} must be a "
+                                     f"JSON {what}, got {value!r}")
 
     def profile(self):
         return PAPER_PROFILE if self.scale == "paper" else DESK_PROFILE

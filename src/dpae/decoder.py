@@ -10,7 +10,7 @@ monitoring matrix.
 import numpy as np
 
 from . import tensor as T
-from .encoder import _init_block, transformer_block, xavier_uniform
+from .encoder import _init_block, dense, init_dense, transformer_block
 
 
 def compute_pe(rows, cols):
@@ -30,22 +30,17 @@ def compute_pe(rows, cols):
 
 
 def init_decoder_params(profile, rng):
-    """Fresh decoder parameters; the positional table is not among them."""
-    params = {}
-    nd = profile.N * profile.D
-    params["dec.expand.w"] = T.Parameter(
-        xavier_uniform(rng, (profile.latent_dim, nd), profile.latent_dim, nd),
-        "dec.expand.w",
-    )
-    params["dec.expand.b"] = T.Parameter(np.zeros((1, nd)), "dec.expand.b")
+    """Fresh decoder arrays by name; the positional table is not among them."""
+    arrays = init_dense({}, "dec.expand.",
+                        (profile.latent_dim, profile.N * profile.D), rng)
     for b in range(profile.depth_dec):
-        _init_block(params, f"dec.block{b}", rng, profile)
-    return params
+        _init_block(arrays, f"dec.block{b}", rng, profile)
+    return arrays
 
 
 def expand_latent(latent, params, profile):
     """Single fully connected layer d -> N*D, reshaped row-major to N x D."""
-    z = T.add(T.matmul(latent, params["dec.expand.w"]), params["dec.expand.b"])
+    z = dense(latent, params, "dec.expand.", 1)
     return T.reshape(z, (profile.N, profile.D))
 
 

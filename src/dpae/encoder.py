@@ -19,74 +19,60 @@ from .data import add_noise, mask_patches, patchify
 LSTM_LAYERS = 2
 
 
-def xavier_uniform(rng, shape, fan_in, fan_out):
+def xavier_uniform(rng, fan_in, fan_out):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _init_block(params, prefix, rng, profile):
+def init_dense(arrays, prefix, widths, rng):
+    """Xavier weights {prefix}w{i} and zero biases {prefix}b{i}, layer by layer."""
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        arrays[f"{prefix}w{i}"] = xavier_uniform(rng, fan_in, fan_out)
+        arrays[f"{prefix}b{i}"] = np.zeros((1, fan_out))
+    return arrays
+
+
+def dense(x, params, prefix, layers):
+    """Fully connected layers from init_dense with GELU between them."""
+    for i in range(layers):
+        if i:
+            x = T.gelu(x)
+        x = T.add(T.matmul(x, params[f"{prefix}w{i}"]), params[f"{prefix}b{i}"])
+    return x
+
+
+def _init_block(arrays, prefix, rng, profile):
     D, heads, head_dim = profile.D, profile.heads, profile.head_dim
     hidden = profile.mlp_hidden
-    params[f"{prefix}.ln1.gain"] = T.Parameter(np.ones((1, D)), f"{prefix}.ln1.gain")
-    params[f"{prefix}.ln1.bias"] = T.Parameter(np.zeros((1, D)), f"{prefix}.ln1.bias")
-    params[f"{prefix}.ln2.gain"] = T.Parameter(np.ones((1, D)), f"{prefix}.ln2.gain")
-    params[f"{prefix}.ln2.bias"] = T.Parameter(np.zeros((1, D)), f"{prefix}.ln2.bias")
-    for h in range(heads):
-        name = f"{prefix}.head{h}.qkv"
-        params[name] = T.Parameter(
-            xavier_uniform(rng, (D, 3 * head_dim), D, 3 * head_dim), name
-        )
-    params[f"{prefix}.proj"] = T.Parameter(
-        xavier_uniform(rng, (heads * head_dim, D), heads * head_dim, D),
-        f"{prefix}.proj",
-    )
-    params[f"{prefix}.mlp.w1"] = T.Parameter(
-        xavier_uniform(rng, (D, hidden), D, hidden), f"{prefix}.mlp.w1"
-    )
-    params[f"{prefix}.mlp.b1"] = T.Parameter(np.zeros((1, hidden)), f"{prefix}.mlp.b1")
-    params[f"{prefix}.mlp.w2"] = T.Parameter(
-        xavier_uniform(rng, (hidden, D), hidden, D), f"{prefix}.mlp.w2"
-    )
-    params[f"{prefix}.mlp.b2"] = T.Parameter(np.zeros((1, D)), f"{prefix}.mlp.b2")
+    for ln in ("ln1", "ln2"):
+        arrays[f"{prefix}.{ln}.gain"] = np.ones((1, D))
+        arrays[f"{prefix}.{ln}.bias"] = np.zeros((1, D))
+    # Head h owns columns [3 * head_dim * h, 3 * head_dim * (h + 1)): q, k, v.
+    arrays[f"{prefix}.qkv"] = np.concatenate(
+        [xavier_uniform(rng, D, 3 * head_dim) for _ in range(heads)], axis=1)
+    arrays[f"{prefix}.proj"] = xavier_uniform(rng, heads * head_dim, D)
+    arrays[f"{prefix}.mlp.w1"] = xavier_uniform(rng, D, hidden)
+    arrays[f"{prefix}.mlp.b1"] = np.zeros((1, hidden))
+    arrays[f"{prefix}.mlp.w2"] = xavier_uniform(rng, hidden, D)
+    arrays[f"{prefix}.mlp.b2"] = np.zeros((1, D))
 
 
 def init_encoder_params(profile, rng):
-    """Fresh encoder parameters, deterministic given the rng state."""
-    params = {}
-    params["enc.class_token"] = T.Parameter(
-        rng.normal(0.0, 0.02, size=(1, profile.D)), "enc.class_token"
-    )
-    params["enc.pos_encoding"] = T.Parameter(
-        rng.normal(0.0, 0.02, size=(profile.N + 1, profile.D)),
-        "enc.pos_encoding",
-    )
+    """Fresh encoder arrays by name, deterministic given the rng state."""
+    arrays = {
+        "enc.class_token": rng.normal(0.0, 0.02, size=(1, profile.D)),
+        "enc.pos_encoding": rng.normal(0.0, 0.02, size=(profile.N + 1, profile.D)),
+    }
     for b in range(profile.depth_enc):
-        _init_block(params, f"enc.block{b}", rng, profile)
-    width_in = profile.D
+        _init_block(arrays, f"enc.block{b}", rng, profile)
+    width_in, h = profile.D, profile.lstm_hidden
     for layer in range(LSTM_LAYERS):
-        h = profile.lstm_hidden
-        params[f"enc.lstm{layer}.w_ih"] = T.Parameter(
-            xavier_uniform(rng, (width_in, 4 * h), width_in, 4 * h),
-            f"enc.lstm{layer}.w_ih",
-        )
-        params[f"enc.lstm{layer}.w_hh"] = T.Parameter(
-            xavier_uniform(rng, (h, 4 * h), h, 4 * h), f"enc.lstm{layer}.w_hh"
-        )
-        params[f"enc.lstm{layer}.bias"] = T.Parameter(
-            np.zeros((1, 4 * h)), f"enc.lstm{layer}.bias"
-        )
+        arrays[f"enc.lstm{layer}.w_ih"] = xavier_uniform(rng, width_in, 4 * h)
+        arrays[f"enc.lstm{layer}.w_hh"] = xavier_uniform(rng, h, 4 * h)
+        arrays[f"enc.lstm{layer}.bias"] = np.zeros((1, 4 * h))
         width_in = h
-    widths = ((profile.lstm_hidden,) + tuple(profile.head_widths)
-              + (profile.latent_dim,))
-    for i in range(3):
-        params[f"enc.latent.w{i}"] = T.Parameter(
-            xavier_uniform(rng, (widths[i], widths[i + 1]), widths[i], widths[i + 1]),
-            f"enc.latent.w{i}",
-        )
-        params[f"enc.latent.b{i}"] = T.Parameter(
-            np.zeros((1, widths[i + 1])), f"enc.latent.b{i}"
-        )
-    return params
+    widths = (h, *profile.head_widths, profile.latent_dim)
+    return init_dense(arrays, "enc.latent.", widths, rng)
 
 
 def preprocess(xp_masked, params):
@@ -100,10 +86,7 @@ def preprocess(xp_masked, params):
 def msa(x, params, prefix, profile):
     """Multi-headed self-attention over the rows of x."""
     dh = profile.head_dim
-    qkv_w = T.concat_cols(
-        [params[f"{prefix}.head{h}.qkv"] for h in range(profile.heads)]
-    )
-    qkv = T.matmul(x, qkv_w)
+    qkv = T.matmul(x, params[f"{prefix}.qkv"])
     heads_out = []
     for h in range(profile.heads):
         base = 3 * dh * h
@@ -157,13 +140,7 @@ def lstm_traverse(seq, params, profile):
 
 def latent_head(cell, params):
     """Three fully connected layers with GELU between them."""
-    z = cell
-    for i in range(3):
-        z = T.add(T.matmul(z, params[f"enc.latent.w{i}"]),
-                  params[f"enc.latent.b{i}"])
-        if i < 2:
-            z = T.gelu(z)
-    return z
+    return dense(cell, params, "enc.latent.", 3)
 
 
 def run_encoder(xp_masked, params, profile, train_mode=False, rng=None):

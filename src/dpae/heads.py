@@ -17,8 +17,9 @@ import numpy as np
 
 from . import tensor as T
 from .data import Location
-from .encoder import xavier_uniform
-from .training import NAdamState, nadam_step, load_params, save_params
+from .encoder import dense, init_dense
+from .training import (NAdamState, load_params, nadam_step, restore_params,
+                       save_params)
 
 # Fixed class order for location classification.
 CLASS_ORDER = (Location.COLD_LEG, Location.HOT_LEG)
@@ -152,23 +153,9 @@ def early_stop_epoch(val_losses, window=20, threshold=0.01):
 # ---------------------------------------------------------------------------
 # fully connected heads
 
-def _init_network(widths, rng):
-    params = {}
-    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        params[f"w{i}"] = T.Parameter(
-            xavier_uniform(rng, (fan_in, fan_out), fan_in, fan_out), f"w{i}")
-        params[f"b{i}"] = T.Parameter(np.zeros((1, fan_out)), f"b{i}")
-    return params
-
-
 def _network_forward(params, widths, X):
-    h = T.Tensor(np.atleast_2d(np.asarray(X, dtype=float)))
-    last = len(widths) - 2
-    for i in range(len(widths) - 1):
-        h = T.add(T.matmul(h, params[f"w{i}"]), params[f"b{i}"])
-        if i < last:
-            h = T.gelu(h)
-    return h
+    return dense(T.Tensor(np.atleast_2d(np.asarray(X, dtype=float))), params,
+                 "", len(widths) - 1)
 
 
 def _network_loss(params, widths, X, y, task):
@@ -189,7 +176,7 @@ def _fit_network(X, labels, task, widths, config):
     if task == "classify" and len({int(v) for v in y[train_idx]}) < 2:
         raise ValueError("classification needs both locations present")
 
-    params = _init_network(widths, rng_init)
+    params = T.parameters(init_dense({}, "", widths, rng_init))
     state = NAdamState(params)
     report = FitReport(param_count=sum(p.data.size for p in params.values()))
 
@@ -424,6 +411,8 @@ def load_head(dir_path):
     meta, values = load_params(dir_path)
     if meta.get("kind") != "head":
         raise IOError(f"checkpoint at {dir_path} is not a diagnosis head")
-    params = {k: T.Parameter(v, k) for k, v in values.items()}
-    return MlpHead(task=meta["task"], widths=tuple(meta["widths"]),
-                   params=params)
+    widths = tuple(meta["widths"])
+    # A fresh head declares the layout; restore_params overwrites its values.
+    params = T.parameters(init_dense({}, "", widths, np.random.default_rng(0)))
+    restore_params(params, values, dir_path)
+    return MlpHead(task=meta["task"], widths=widths, params=params)

@@ -76,8 +76,8 @@ class DPAE:
         self.grid = profile.grid()
         self.pe_table = compute_pe(profile.N + 1, profile.D)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.params = init_encoder_params(profile, rng)
-        self.params.update(init_decoder_params(profile, rng))
+        self.params = T.parameters({**init_encoder_params(profile, rng),
+                                    **init_decoder_params(profile, rng)})
 
     def parameter_count(self):
         return sum(p.data.size for p in self.params.values())

@@ -80,6 +80,11 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
+def parameters(arrays) -> dict:
+    """Wrap {name: array} as {name: Parameter} named by its key."""
+    return {name: Parameter(value, name) for name, value in arrays.items()}
+
+
 def _accum(node: Tensor, g: np.ndarray):
     if node.grad is None:
         node.grad = g.copy()

@@ -213,6 +213,17 @@ def load_params(dir_path):
     return manifest["meta"], values
 
 
+def restore_params(params, values, dir_path):
+    """Overwrite fresh parameters with loaded arrays of the same names and shapes."""
+    if set(values) != set(params):
+        raise IOError(f"checkpoint at {dir_path}: parameter names do not match "
+                      "the layout it declares")
+    for name, arr in values.items():
+        if params[name].data.shape != arr.shape:
+            raise IOError(f"checkpoint at {dir_path}: shape mismatch for {name}")
+        params[name].data[...] = arr
+
+
 def save_checkpoint(model, dir_path, config=None, history=None):
     meta = {"kind": "dpae", "seed": model.seed,
             "profile": asdict(model.profile)}
@@ -242,10 +253,5 @@ def load_checkpoint(dir_path):
         raise IOError(f"checkpoint at {dir_path} has a malformed profile "
                       f"block: {e}") from None
     model = DPAE(profile, seed=meta["seed"])
-    if set(values) != set(model.params):
-        raise IOError("checkpoint parameter names do not match the profile")
-    for name, arr in values.items():
-        if model.params[name].data.shape != arr.shape:
-            raise IOError(f"checkpoint shape mismatch for {name}")
-        model.params[name].data[...] = arr
+    restore_params(model.params, values, dir_path)
     return model, meta

@@ -113,7 +113,9 @@ class TestGenData:
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         for doc in ({"bogus": 1}, {"train": {"bogus": 1}},
-                    {"heads": {"seed": 3}}, {"shap": {"background": [1]}}):
+                    {"heads": {"seed": 3}}, {"shap": {"background": [1]}},
+                    {"train": {"lr_ini": "0.002"}}, {"heads": {"tree_count": 2.5}},
+                    {"heads": {"lr": True}}, {"shap": {"coalition_samples": 300.5}}):
             cfg_path.write_text(json.dumps(doc))
             assert run_cli("gen-data", "--config", str(cfg_path),
                            "--out", str(tmp_path / "x")) == 1, doc

@@ -1,5 +1,7 @@
 """Diagnosis-head tests: MLP and forest fitting, early stopping, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -263,8 +265,28 @@ class TestPersistence:
         np.testing.assert_array_equal(H.predict(forest, probe),
                                       H.predict(loaded, probe))
 
+    def test_manifest_not_matching_widths_rejected(self, tmp_path):
+        latents, labels = blob_toy(seed=18)
+        head, _ = H.fit_mlp_head(latents, labels, H.HeadConfig(max_epochs=3))
+        H.save_head(head, tmp_path / "head")
+        manifest = tmp_path / "head" / "manifest.json"
+        saved = json.loads(manifest.read_text())
+
+        def drop_w2(doc):
+            doc["parameters"] = [e for e in doc["parameters"]
+                                 if e["name"] != "w2"]
+
+        def widen(doc):
+            doc["meta"]["widths"][1] += 1
+
+        for edit in (drop_w2, widen):
+            doc = json.loads(json.dumps(saved))
+            edit(doc)
+            manifest.write_text(json.dumps(doc))
+            with pytest.raises(IOError):
+                H.load_head(tmp_path / "head")
+
     def test_wrong_kind_rejected(self, tmp_path):
-        import json
         d = tmp_path / "bad"
         d.mkdir()
         (d / "forest.json").write_text(json.dumps({"kind": "other"}))

@@ -80,10 +80,9 @@ class TestMsa:
         x = T.Tensor(np.random.default_rng(2).normal(size=(1, TOY.D)))
         out = enc.msa(x, model.params, "enc.block0", cfg)
         dh = cfg.head_dim
-        vs = []
-        for h in range(cfg.heads):
-            qkv = x.data @ model.params[f"enc.block0.head{h}.qkv"].data
-            vs.append(qkv[:, 2 * dh:])
+        qkv = x.data @ model.params["enc.block0.qkv"].data
+        vs = [qkv[:, 3 * dh * h + 2 * dh:3 * dh * (h + 1)]
+              for h in range(cfg.heads)]
         expected = np.concatenate(vs, axis=1) @ model.params["enc.block0.proj"].data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -257,8 +256,8 @@ class TestPositionalTable:
 class TestDecode:
     def test_expand_latent_shapes_and_zero_case(self):
         model = DPAE(PAPER_PROFILE, seed=20)
-        model.params["dec.expand.w"].data[:] = 0.0
-        model.params["dec.expand.b"].data[:] = 0.0
+        model.params["dec.expand.w0"].data[:] = 0.0
+        model.params["dec.expand.b0"].data[:] = 0.0
         latent = T.Tensor(np.random.default_rng(16).normal(size=(1, 128)))
         out = dec.expand_latent(latent, model.params, model.profile)
         assert out.shape == (190, 40)
@@ -267,7 +266,7 @@ class TestDecode:
     def test_expand_latent_gradient(self):
         model = toy_model(seed=21)
         latent = np.random.default_rng(17).normal(size=(1, TOY.latent_dim))
-        probe = {k: model.params[k] for k in ("dec.expand.w", "dec.expand.b")}
+        probe = {k: model.params[k] for k in ("dec.expand.w0", "dec.expand.b0")}
 
         def f():
             out = dec.expand_latent(T.Tensor(latent), model.params, model.profile)
