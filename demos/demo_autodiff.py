@@ -2,7 +2,7 @@
 
 Builds a few computations out of the engine's primitives, runs reverse-mode
 backward passes, and verifies every gradient with central finite
-differences. Ends with the engine's own audit helper on an LSTM cell and on
+differences. Ends with the engine's own audit helper on an LSTM layer and on
 a miniature encode-decode composition.
 
 Run: python3 demos/demo_autodiff.py [--seed N]
@@ -49,14 +49,12 @@ def attention_style_block(seed):
     print(f"   max relative error vs finite differences: {err:.3e}\n")
 
 
-def lstm_cell_check(seed):
-    print("== fused LSTM cell ==")
+def lstm_check(seed):
+    print("== one LSTM layer over a 4-row sequence, one tape node ==")
     rng = np.random.default_rng(seed)
     hidden = 5
     params = {
-        "x": T.Parameter(rng.normal(size=(1, 3)), "x"),
-        "h": T.Parameter(0.1 * rng.normal(size=(1, hidden)), "h"),
-        "c": T.Parameter(0.1 * rng.normal(size=(1, hidden)), "c"),
+        "xs": T.Parameter(rng.normal(size=(4, 3)), "xs"),
         "w_ih": T.Parameter(rng.normal(size=(3, 4 * hidden)) / 2.0, "w_ih"),
         "w_hh": T.Parameter(rng.normal(size=(hidden, 4 * hidden)) / 2.0,
                             "w_hh"),
@@ -64,12 +62,12 @@ def lstm_cell_check(seed):
     }
 
     def f():
-        out = T.lstm_cell(params["x"], params["h"], params["c"],
-                          params["w_ih"], params["w_hh"], params["bias"])
+        out = T.lstm(params["xs"], params["w_ih"], params["w_hh"],
+                     params["bias"])
         return T.mean_all(T.square(out))
 
     err = T.grad_check(f, params, eps=1e-5)
-    print(f"   max relative error across all 6 tensors: {err:.3e}\n")
+    print(f"   max relative error across all 4 tensors: {err:.3e}\n")
 
 
 def full_composition(seed):
@@ -97,7 +95,7 @@ def main():
     args = parser.parse_args()
     scalar_chain(args.seed)
     attention_style_block(args.seed)
-    lstm_cell_check(args.seed)
+    lstm_check(args.seed)
     full_composition(args.seed)
 
 

@@ -104,9 +104,10 @@ def _stamp(cfg, command, extra=None):
 # ---------------------------------------------------------------------------
 # shared loading helpers
 
-def _perturbed_matrix(x, snr_db, ratio_pad, grid, rng):
-    """One perturbation folded back to a p x l matrix, plus the mask."""
-    patches, mask = perturb_patches(x, snr_db, ratio_pad, grid, rng)
+def _perturbed(cfg, tag, index, x, grid):
+    """Sample `index`'s perturbation in seed stream `tag`: p x l matrix, mask."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, index)))
+    patches, mask = perturb_patches(x, cfg.snr_db, cfg.ratio_pad, grid, rng)
     return D.unpatchify(patches, grid), mask
 
 
@@ -208,10 +209,7 @@ def cmd_reconstruct(args):
         x_pert = x.copy()
         mask = np.zeros(model.grid.N, dtype=bool)
     else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, _TAG_RECON, args.index)))
-        x_pert, mask = _perturbed_matrix(x, cfg.snr_db, cfg.ratio_pad,
-                                         model.grid, rng)
+        x_pert, mask = _perturbed(cfg, _TAG_RECON, args.index, x, model.grid)
     recon = model.reconstruct(x_pert)[0].data
     report = M.reconstruction_report(x, x_pert, recon)
 
@@ -245,17 +243,11 @@ def cmd_extract_latents(args):
     model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
 
-    snr = None if args.clean else cfg.snr_db
     Z = np.zeros((len(dataset.samples), model.profile.latent_dim))
     labels = []
     for i, sample in enumerate(dataset.samples):
-        if snr is None:
-            x_in = sample.matrix
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, _TAG_LATENTS, i)))
-            x_in, _ = _perturbed_matrix(sample.matrix, snr, cfg.ratio_pad,
-                                        model.grid, rng)
+        x_in = sample.matrix if args.clean else \
+            _perturbed(cfg, _TAG_LATENTS, i, sample.matrix, model.grid)[0]
         Z[i] = model.latent_vector(x_in)
         labels.append(H.DiagnosisLabel(sample.location, sample.size_cm))
     if not np.isfinite(Z).all():
@@ -316,15 +308,11 @@ def cmd_train_heads(args):
                 reports[name] = report
 
         if "e2e" in wanted:
-            profile = cfg.profile()
-            grid = D.PatchGrid.for_shape(profile.p, profile.l, profile.m)
+            grid = cfg.profile().grid()
             mats, labels_e2e = [], []
             for i in train_idx:
                 sample = dataset.samples[i]
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((cfg.seed, _TAG_LATENTS, i)))
-                x_pert, _ = _perturbed_matrix(sample.matrix, cfg.snr_db,
-                                              cfg.ratio_pad, grid, rng)
+                x_pert, _ = _perturbed(cfg, _TAG_LATENTS, i, sample.matrix, grid)
                 mats.append(x_pert.reshape(-1))
                 labels_e2e.append(H.DiagnosisLabel(sample.location,
                                                    sample.size_cm))
@@ -360,10 +348,7 @@ def cmd_evaluate(args):
     Zs, flats, labels = [], [], []
     for i in test_idx:
         sample = dataset.samples[i]
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, _TAG_EVAL, i)))
-        x_pert, _ = _perturbed_matrix(sample.matrix, cfg.snr_db,
-                                      cfg.ratio_pad, model.grid, rng)
+        x_pert, _ = _perturbed(cfg, _TAG_EVAL, i, sample.matrix, model.grid)
         Zs.append(model.latent_vector(x_pert))
         flats.append(x_pert.reshape(-1))
         labels.append(H.DiagnosisLabel(sample.location, sample.size_cm))
@@ -429,6 +414,17 @@ def cmd_explain(args):
         band = cfg.size_band
     out = _resolve_out(args.out)
     model, _ = TR.load_checkpoint(args.model)
+    shap_kwargs = {"coalition_samples": 256, **cfg.shap}
+    if args.coalitions is not None:
+        shap_kwargs["coalition_samples"] = args.coalitions
+    d = model.profile.latent_dim
+    for setting, count, least in (
+            ("--coalitions (or shap.coalition_samples)",
+             shap_kwargs["coalition_samples"], d + 2),
+            ("--explain-count", args.explain_count, 1),
+            ("--background-size", args.background_size, 1)):
+        if count < least:
+            raise UsageError(f"{setting} must be at least {least}, got {count}")
     dataset = D.load_dataset(args.data)
     heads = _load_heads(args.heads)
     cla = heads.get("mlp_cla") or heads.get("forest_cla")
@@ -438,7 +434,6 @@ def cmd_explain(args):
 
     # Clean eval-mode latents for every sample.
     Z = np.stack([model.latent_vector(s.matrix) for s in dataset.samples])
-    d = Z.shape[1]
 
     rng_bg = np.random.default_rng(
         np.random.SeedSequence((cfg.seed, _TAG_BACKGROUND)))
@@ -452,9 +447,6 @@ def cmd_explain(args):
     n_explain = min(args.explain_count, len(test_idx))
     chosen = sorted(rng_pick.choice(test_idx, size=n_explain, replace=False))
 
-    shap_kwargs = {"coalition_samples": 256, **cfg.shap}
-    if args.coalitions is not None:
-        shap_kwargs["coalition_samples"] = args.coalitions
     shap_cfg = I.ShapConfig(background=background, seed=cfg.seed,
                             **shap_kwargs)
     g_cla = I.classifier_fn(cla)
@@ -518,9 +510,7 @@ def _gradcheck_ops(seed):
         "xn": rng.normal(size=(4, 6)),
         "gn": rng.normal(size=(1, 6)),
         "bn": rng.normal(size=(1, 6)),
-        "xl": rng.normal(size=(1, 3)),
-        "hl": 0.1 * rng.normal(size=(1, hdim)),
-        "cl": 0.1 * rng.normal(size=(1, hdim)),
+        "xl": rng.normal(size=(3, 3)),
         "wih": rng.normal(size=(3, 4 * hdim)) / np.sqrt(3),
         "whh": rng.normal(size=(hdim, 4 * hdim)) / np.sqrt(hdim),
         "bl": np.zeros((1, 4 * hdim)),
@@ -540,7 +530,7 @@ def _gradcheck_ops(seed):
         check("gelu", T.gelu, "gelu"),
         check("softmax", T.softmax_rows, "s"),
         check("layer_norm", T.layer_norm, "xn", "gn", "bn"),
-        check("lstm_cell", T.lstm_cell, "xl", "hl", "cl", "wih", "whh", "bl"),
+        check("lstm", T.lstm, "xl", "wih", "whh", "bl"),
         ("cross_entropy", lambda: T.cross_entropy_logits(P["logits"], onehot),
          {"logits": P["logits"]}),
     ]

@@ -117,25 +117,14 @@ def lstm_traverse(seq, params, profile):
 
     Returns the final cell state of the top layer.
     """
-    n_rows = seq.shape[0]
-    order = list(range(1, n_rows)) + [0]
-    inputs = [T.slice_rows(seq, i, i + 1) for i in order]
-    cell = None
+    n = seq.shape[0]
+    out = T.concat_rows([T.slice_rows(seq, 1, n), T.slice_rows(seq, 0, 1)])
     for layer in range(LSTM_LAYERS):
-        w_ih = params[f"enc.lstm{layer}.w_ih"]
-        w_hh = params[f"enc.lstm{layer}.w_hh"]
-        bias = params[f"enc.lstm{layer}.bias"]
-        h = T.Tensor(np.zeros((1, profile.lstm_hidden)))
-        c = T.Tensor(np.zeros((1, profile.lstm_hidden)))
-        outputs = []
-        for x_t in inputs:
-            hc = T.lstm_cell(x_t, h, c, w_ih, w_hh, bias)
-            h = T.slice_rows(hc, 0, 1)
-            c = T.slice_rows(hc, 1, 2)
-            outputs.append(h)
-        inputs = outputs
-        cell = c
-    return cell
+        if layer:
+            out = T.slice_rows(out, 0, n)  # the hidden states feed the next layer
+        out = T.lstm(out, *(params[f"enc.lstm{layer}.{w}"]
+                            for w in ("w_ih", "w_hh", "bias")))
+    return T.slice_rows(out, n, n + 1)
 
 
 def latent_head(cell, params):

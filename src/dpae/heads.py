@@ -24,6 +24,10 @@ from .training import (NAdamState, load_params, nadam_step, restore_params,
 # Fixed class order for location classification.
 CLASS_ORDER = (Location.COLD_LEG, Location.HOT_LEG)
 
+# Hidden layer widths of the latent MLP heads and of the end-to-end network.
+LATENT_HIDDEN = (64, 32)
+END_TO_END_HIDDEN = (256, 64)
+
 
 @dataclass(frozen=True)
 class DiagnosisLabel:
@@ -38,10 +42,8 @@ class DiagnosisLabel:
 @dataclass
 class HeadConfig:
     kind: str = "mlp"
-    hidden_widths: tuple | None = None
     tree_count: int = 50
     max_depth: int = 8
-    feature_subset: int | None = None
     early_stop_window: int = 20
     early_stop_threshold: float = 0.01
     val_fraction: float = 0.2
@@ -63,8 +65,6 @@ class HeadConfig:
             raise ValueError("val_fraction outside (0, 1)")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("lr_decay outside (0, 1]")
-        if self.hidden_widths is not None:
-            self.hidden_widths = tuple(int(w) for w in self.hidden_widths)
 
 
 @dataclass
@@ -215,18 +215,18 @@ def fit_mlp_head(latents, labels, config=None, task="classify"):
     """Fit a compact fully connected head on latent vectors."""
     config = config or HeadConfig(kind="mlp")
     X = _as_matrix(latents)
-    hidden = config.hidden_widths or (64, 32)
     out_dim = len(CLASS_ORDER) if task == "classify" else 1
-    return _fit_network(X, labels, task, (X.shape[1], *hidden, out_dim), config)
+    return _fit_network(X, labels, task, (X.shape[1], *LATENT_HIDDEN, out_dim),
+                        config)
 
 
 def fit_end_to_end(samples, labels, config=None, task="classify"):
     """Fit a monolithic network on flattened (perturbed) monitoring matrices."""
     config = config or HeadConfig(kind="end_to_end_mlp")
     X = _as_matrix(samples)
-    hidden = config.hidden_widths or (256, 64)
     out_dim = len(CLASS_ORDER) if task == "classify" else 1
-    return _fit_network(X, labels, task, (X.shape[1], *hidden, out_dim), config)
+    return _fit_network(X, labels, task,
+                        (X.shape[1], *END_TO_END_HIDDEN, out_dim), config)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +319,7 @@ def fit_random_forest(latents, labels, config=None, task="classify"):
     _check_inputs(X, labels, task)
     y = _targets(labels, task)
     n, d = X.shape
-    if config.feature_subset is not None:
-        m_try = min(config.feature_subset, d)
-    elif task == "classify":
+    if task == "classify":
         m_try = max(1, int(round(np.sqrt(d))))
     else:
         m_try = max(1, d // 3)

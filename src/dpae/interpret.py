@@ -59,9 +59,10 @@ class ImportanceReport:
 # ---------------------------------------------------------------------------
 # head adapters: batch (n, d) -> (n,) model functions
 
-def classifier_fn(head, class_index=1):
+def classifier_fn(head):
+    """g(X): per row, the probability of the hot leg (CLASS_ORDER[1])."""
     def g(X):
-        return np.atleast_2d(predict(head, np.atleast_2d(X)))[:, class_index]
+        return np.atleast_2d(predict(head, np.atleast_2d(X)))[:, 1]
     return g
 
 
@@ -256,11 +257,12 @@ def psi_from_omega(omega, phi):
     return heatmap, psi, ranking
 
 
-def parameter_importance(model, samples, phi, baseline=0.5):
+def parameter_importance(model, samples, phi):
     """Channel importance over an analysis window of samples.
 
-    Ablates every (channel, region) cell of every sample, averages the
-    latent shifts, and weights them by the latent importance vector.
+    Ablates every (channel, region) cell of every sample to 0.5, the middle
+    of the normalized range, averages the latent shifts, and weights them by
+    the latent importance vector.
     """
     samples = list(samples)
     if not samples:
@@ -280,7 +282,7 @@ def parameter_importance(model, samples, phi, baseline=0.5):
         for m in range(l):
             for n in range(n_regions):
                 ablated = x.copy()
-                ablated[n * h:(n + 1) * h, m] = baseline
+                ablated[n * h:(n + 1) * h, m] = 0.5
                 delta = model.latent_vector(ablated) - z0
                 omega[m, n] += np.abs(delta)
                 omega_signed[m, n] += delta

@@ -394,51 +394,62 @@ def dropout(a: Tensor, rate: float, train: bool, rng=None) -> Tensor:
     return out
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
-    """One LSTM step as a single fused tape node.
+def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
+    """One LSTM layer over the rows of xs, from a zero state, as one tape node.
 
     Gate order along the fused width-4H axis is (input, forget, cell, output).
-    Returns the stacked [h_t; c_t] as a 2 x H tensor; callers slice the rows.
-    The fused formulation keeps the tape short - the recurrence dominates the
-    node count of a full forward pass otherwise.
+    Returns an (n + 1) x H tensor: the n hidden states, then the final cell
+    state. The backward pass runs each step's gradient in reverse time.
     """
-    hidden = h_prev.data.shape[1]
-    if w_ih.data.shape != (x.data.shape[1], 4 * hidden):
-        raise ShapeError(f"lstm_cell w_ih shape {w_ih.data.shape} != ({x.data.shape[1]}, {4 * hidden})")
-    if w_hh.data.shape != (hidden, 4 * hidden):
-        raise ShapeError(f"lstm_cell w_hh shape {w_hh.data.shape} != ({hidden}, {4 * hidden})")
-    if bias.data.shape != (1, 4 * hidden) or c_prev.data.shape != (1, hidden):
-        raise ShapeError("lstm_cell bias/cell state shape mismatch")
+    if xs.data.ndim != 2 or xs.data.shape[0] < 1:
+        raise ShapeError(f"lstm expects a nonempty matrix, got shape {xs.data.shape}")
+    n, width = xs.data.shape
+    hidden = w_hh.data.shape[0]
+    shapes = (w_ih.data.shape, w_hh.data.shape, bias.data.shape)
+    if shapes != ((width, 4 * hidden), (hidden, 4 * hidden), (1, 4 * hidden)):
+        raise ShapeError(f"lstm w_ih/w_hh/bias shapes {shapes} do not fit "
+                         f"width {width} and hidden width {hidden}")
 
-    pre = x.data @ w_ih.data + h_prev.data @ w_hh.data + bias.data
-    i = 1.0 / (1.0 + np.exp(-pre[:, :hidden]))
-    f = 1.0 / (1.0 + np.exp(-pre[:, hidden:2 * hidden]))
-    g_ = np.tanh(pre[:, 2 * hidden:3 * hidden])
-    o = 1.0 / (1.0 + np.exp(-pre[:, 3 * hidden:]))
-    c = f * c_prev.data + i * g_
-    tc = np.tanh(c)
-    h = o * tc
-    out = Tensor(np.concatenate([h, c], axis=0), parents=(x, h_prev, c_prev, w_ih, w_hh, bias))
+    h = c = np.zeros((1, hidden))
+    steps, rows = [], []
+    for t in range(n):
+        pre = xs.data[t:t + 1] @ w_ih.data + h @ w_hh.data + bias.data
+        i = 1.0 / (1.0 + np.exp(-pre[:, :hidden]))
+        f = 1.0 / (1.0 + np.exp(-pre[:, hidden:2 * hidden]))
+        g_ = np.tanh(pre[:, 2 * hidden:3 * hidden])
+        o = 1.0 / (1.0 + np.exp(-pre[:, 3 * hidden:]))
+        h_prev, c_prev = h, c
+        c = f * c_prev + i * g_
+        tc = np.tanh(c)
+        h = o * tc
+        steps.append((h_prev, c_prev, i, f, g_, o, tc))
+        rows.append(h)
+    out = Tensor(np.concatenate(rows + [c], axis=0), parents=(xs, w_ih, w_hh, bias))
 
     def backward(grad):
-        gh = grad[0:1]
-        gc = grad[1:2] + gh * o * (1.0 - tc * tc)
-        dpre = np.concatenate(
-            [
-                gc * g_ * i * (1.0 - i),
-                gc * c_prev.data * f * (1.0 - f),
-                gc * i * (1.0 - g_ * g_),
-                gh * tc * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        _accum(x, dpre @ w_ih.data.T)
-        _accum(h_prev, dpre @ w_hh.data.T)
-        _accum(c_prev, gc * f)
-        _accum(w_ih, x.data.T @ dpre)
-        _accum(w_hh, h_prev.data.T @ dpre)
-        _accum(bias, dpre)
+        dxs = np.empty_like(xs.data)
+        dh = np.zeros((1, hidden))
+        dc = grad[n:n + 1]
+        for t in reversed(range(n)):
+            h_prev, c_prev, i, f, g_, o, tc = steps[t]
+            gh = grad[t:t + 1] + dh
+            gc = dc + gh * o * (1.0 - tc * tc)
+            dpre = np.concatenate(
+                [
+                    gc * g_ * i * (1.0 - i),
+                    gc * c_prev * f * (1.0 - f),
+                    gc * i * (1.0 - g_ * g_),
+                    gh * tc * o * (1.0 - o),
+                ],
+                axis=1,
+            )
+            dxs[t] = dpre @ w_ih.data.T
+            dh = dpre @ w_hh.data.T
+            dc = gc * f
+            _accum(w_ih, xs.data[t:t + 1].T @ dpre)
+            _accum(w_hh, h_prev.T @ dpre)
+            _accum(bias, dpre)
+        _accum(xs, dxs)
 
     out._backward_fn = backward
     return out

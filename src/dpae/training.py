@@ -25,14 +25,13 @@ DEFAULT_CURRICULUM = (
     (30.0, 0.20),
 )
 
+# Nesterov-Adam moment decays, denominator guard and momentum-schedule decay.
+BETA1, BETA2, EPS, MOMENTUM_DECAY = 0.9, 0.999, 1e-8, 4e-3
+
 
 @dataclass
 class TrainConfig:
     lr_ini: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    momentum_decay: float = 4e-3
     epochs: int = 1000
     curriculum: tuple = DEFAULT_CURRICULUM
     seed: int = 0
@@ -50,12 +49,7 @@ class TrainConfig:
 class NAdamState:
     """First/second moments per parameter plus the momentum-schedule product."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8,
-                 momentum_decay=4e-3):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.momentum_decay = momentum_decay
+    def __init__(self, params):
         self.t = 0
         self.mu_product = 1.0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -72,18 +66,18 @@ def mse_loss(x_clean, x_re):
 def nadam_step(params, grads, state, lr):
     """One Nesterov-Adam update over all parameters.
 
-    mu_t follows the warming schedule beta1 * (1 - 0.5 * 0.96^(t * psi));
-    the first-moment estimate is debiased with the running product of the
-    schedule (including mu_t) and combined with a Nesterov look-ahead term.
+    mu_t follows the warming schedule
+    BETA1 * (1 - 0.5 * 0.96^(t * MOMENTUM_DECAY)); the first-moment estimate
+    is debiased with the running product of the schedule (including mu_t) and
+    combined with a Nesterov look-ahead term.
     """
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name}")
 
     t = state.t + 1
-    b1, b2, psi = state.beta1, state.beta2, state.momentum_decay
-    mu_t = b1 * (1.0 - 0.5 * 0.96 ** (t * psi))
-    mu_next = b1 * (1.0 - 0.5 * 0.96 ** ((t + 1) * psi))
+    mu_t = BETA1 * (1.0 - 0.5 * 0.96 ** (t * MOMENTUM_DECAY))
+    mu_next = BETA1 * (1.0 - 0.5 * 0.96 ** ((t + 1) * MOMENTUM_DECAY))
     state.mu_product *= mu_t
     product_next = state.mu_product * mu_next
 
@@ -91,14 +85,14 @@ def nadam_step(params, grads, state, lr):
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         m_hat = (mu_next * m / (1.0 - product_next)
                  + (1.0 - mu_t) * g / (1.0 - state.mu_product))
-        v_hat = v / (1.0 - b2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v_hat = v / (1.0 - BETA2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
     state.t = t
 
 
@@ -126,8 +120,7 @@ def train(dataset, model, config, out_dir=None, log_every=0):
     """
     if not dataset.normalized:
         raise ValueError("training expects a normalized dataset")
-    state = NAdamState(model.params, config.beta1, config.beta2, config.eps,
-                       config.momentum_decay)
+    state = NAdamState(model.params)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     train_idx = dataset.indices("train")
     history = []

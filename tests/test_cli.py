@@ -115,7 +115,8 @@ class TestGenData:
         for doc in ({"bogus": 1}, {"train": {"bogus": 1}},
                     {"heads": {"seed": 3}}, {"shap": {"background": [1]}},
                     {"train": {"lr_ini": "0.002"}}, {"heads": {"tree_count": 2.5}},
-                    {"heads": {"lr": True}}, {"shap": {"coalition_samples": 300.5}}):
+                    {"heads": {"lr": True}}, {"shap": {"coalition_samples": 300.5}},
+                    {"train": {"beta1": 0.9}}, {"heads": {"hidden_widths": [8]}}):
             cfg_path.write_text(json.dumps(doc))
             assert run_cli("gen-data", "--config", str(cfg_path),
                            "--out", str(tmp_path / "x")) == 1, doc
@@ -333,6 +334,20 @@ class TestExplain:
                        "--background-size", "4", "--coalitions", "40",
                        "--seed", SEED) == 2
 
+    def test_bad_counts_fail_before_the_dataset_loads(self, ws, tmp_path,
+                                                      capsys, monkeypatch):
+        def load_dataset(path):
+            raise AssertionError("explain loaded the dataset")
+
+        monkeypatch.setattr(cli.D, "load_dataset", load_dataset)
+        for flag, value in (("--coalitions", str(DESK_PROFILE.latent_dim)),
+                            ("--explain-count", "0"), ("--explain-count", "-1"),
+                            ("--background-size", "0")):
+            assert run_cli("explain", "--model", ws.ckpt, "--data", ws.data,
+                           "--heads", ws.heads, "--out", str(tmp_path / "e"),
+                           flag, value, "--seed", SEED) == 1, flag
+            assert flag in capsys.readouterr().err, flag
+
 
 class TestGradcheck:
     def test_ops_scope_passes_and_writes_report(self, tmp_path):
@@ -396,6 +411,9 @@ class TestModuleEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "dpae.cli", "gradcheck", "--scope",
              "ops", "--seed", "3"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.join(
+                os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                "src")))
         assert proc.returncode == 0
         assert "worst" in proc.stdout

@@ -85,7 +85,7 @@ def forest_toy(d=8, seed=4):
 class TestKernelShap:
     def test_exact_mode_matches_enumeration_on_forest(self):
         X, forest = forest_toy(d=8)
-        g = I.classifier_fn(forest, class_index=1)
+        g = I.classifier_fn(forest)
         background = X[::2][:16]
         x = X[1]
         exact = I.exact_shapley(g, x, background)

@@ -225,7 +225,11 @@ class TestDropout:
             T.dropout(T.Tensor([[1.0]]), 0.5, train=True)
 
 
-class TestLstmCell:
+def hex_rows(*rows):
+    return np.array([[float.fromhex(v) for v in row] for row in rows])
+
+
+class TestLstm:
     def _params(self, d, h, seed):
         rng = np.random.default_rng(seed)
         return (
@@ -234,61 +238,111 @@ class TestLstmCell:
             T.Parameter(rng.uniform(-0.5, 0.5, (1, 4 * h)), "b"),
         )
 
-    def test_zero_weights_give_zero_state(self):
+    def test_zero_weights_give_zero_output(self):
         h = 3
-        x = T.Tensor(rand((1, 4), seed=29))
-        out = T.lstm_cell(
-            x,
-            T.Tensor(np.zeros((1, h))),
-            T.Tensor(np.zeros((1, h))),
+        out = T.lstm(
+            T.Tensor(rand((3, 4), seed=29)),
             T.Tensor(np.zeros((4, 4 * h))),
             T.Tensor(np.zeros((h, 4 * h))),
             T.Tensor(np.zeros((1, 4 * h))),
         )
-        np.testing.assert_array_equal(out.data, np.zeros((2, h)))
+        np.testing.assert_array_equal(out.data, np.zeros((4, h)))
 
-    def test_scalar_hand_evaluation(self):
-        # all weights 1, bias 0, input 0, h0 = c0 = 0:
-        # i = f = o = sigmoid(0) = 0.5, g = tanh(0) = 0, c = 0, h = 0
-        out = T.lstm_cell(
-            T.Tensor([[0.0]]),
-            T.Tensor([[0.0]]),
-            T.Tensor([[0.0]]),
+    def test_one_step_hand_evaluation(self):
+        # all weights 1, bias 0, input 1, zero state: every gate sees 1, so
+        # i = f = o = sigmoid(1), g = tanh(1), c = i * g, h = o * tanh(c)
+        out = T.lstm(
+            T.Tensor([[1.0]]),
             T.Tensor(np.ones((1, 4))),
             T.Tensor(np.ones((1, 4))),
             T.Tensor(np.zeros((1, 4))),
         )
-        np.testing.assert_array_equal(out.data, [[0.0], [0.0]])
+        s = 1.0 / (1.0 + np.exp(-1.0))
+        c = s * np.tanh(1.0)
+        np.testing.assert_allclose(out.data, [[s * np.tanh(c)], [c]],
+                                   rtol=1e-15)
+
+    def test_shape_mismatch_raises(self):
+        w_ih, w_hh, b = self._params(3, 2, seed=36)
+        with pytest.raises(T.ShapeError):
+            T.lstm(T.Tensor(rand((4, 2))), w_ih, w_hh, b)
 
     def test_gradient_single_step(self):
         d, h = 4, 3
         w_ih, w_hh, b = self._params(d, h, seed=30)
         x = T.Parameter(rand((1, d), seed=31), "x")
-        h0 = T.Parameter(rand((1, h), seed=32), "h0")
-        c0 = T.Parameter(rand((1, h), seed=33), "c0")
 
         def f():
-            return T.sum_all(T.square(T.lstm_cell(x, h0, c0, w_ih, w_hh, b)))
+            return T.sum_all(T.square(T.lstm(x, w_ih, w_hh, b)))
 
-        err = T.grad_check(f, [x, h0, c0, w_ih, w_hh, b], eps=1e-5)
+        err = T.grad_check(f, [x, w_ih, w_hh, b], eps=1e-5)
         assert err <= 1e-6
 
-    def test_gradient_three_step_sequence(self):
+    def test_gradient_three_row_sequence(self):
         d, h = 3, 2
         w_ih, w_hh, b = self._params(d, h, seed=34)
         seq = T.Parameter(rand((3, d), seed=35), "seq")
 
         def f():
-            hs = T.Tensor(np.zeros((1, h)))
-            cs = T.Tensor(np.zeros((1, h)))
-            for t in range(3):
-                hc = T.lstm_cell(T.slice_rows(seq, t, t + 1), hs, cs, w_ih, w_hh, b)
-                hs = T.slice_rows(hc, 0, 1)
-                cs = T.slice_rows(hc, 1, 2)
-            return T.sum_all(T.square(cs))
+            return T.sum_all(T.square(T.lstm(seq, w_ih, w_hh, b)))
 
         err = T.grad_check(f, [seq, w_ih, w_hh, b], eps=1e-5)
         assert err <= 1e-6
+
+    def test_matches_unrolled_cells_bit_for_bit(self):
+        # Recorded from the per-step path this op replaced: one fused cell
+        # per row returning [h; c], split with slice_rows, the hidden states
+        # and the final cell state concatenated. Loss sum(out ** 2).
+        rng = np.random.default_rng(41)
+        xs = T.Parameter(rng.uniform(-1.0, 1.0, (4, 3)), "xs")
+        w_ih = T.Parameter(rng.uniform(-0.5, 0.5, (3, 8)), "w_ih")
+        w_hh = T.Parameter(rng.uniform(-0.5, 0.5, (2, 8)), "w_hh")
+        b = T.Parameter(rng.uniform(-0.5, 0.5, (1, 8)), "b")
+        out = T.lstm(xs, w_ih, w_hh, b)
+        T.backward(T.sum_all(T.square(out)))
+        recorded = {
+            "out": hex_rows(
+                ("0x1.fb95e721b5af0p-10", "-0x1.b444a544b91cfp-4"),
+                ("0x1.139c969f833a0p-6", "-0x1.0f065838853e8p-3"),
+                ("-0x1.bdae788eb88d3p-4", "-0x1.41242c4fd2de9p-4"),
+                ("-0x1.c68d003d45c4bp-6", "0x1.7d35c28380b90p-6"),
+                ("-0x1.0edbe3e8ed1c4p-4", "0x1.7fd940052ce80p-5"),
+            ),
+            "xs": hex_rows(
+                ("0x1.1bc6c339be4d7p-6", "0x1.ddf12ead476aap-7", "-0x1.1ea40bd6dda2dp-5"),
+                ("0x1.4d8577d9fcf07p-7", "0x1.4edd6fe2c47f4p-8", "-0x1.3136ab7745880p-5"),
+                ("-0x1.11f45d1abe515p-5", "-0x1.0763769babeaap-5", "-0x1.3c42caa66c5eap-5"),
+                ("-0x1.7de3c735040f5p-5", "-0x1.e17aa76fe0d9cp-6", "-0x1.760bb8a61ae88p-9"),
+            ),
+            "w_ih": hex_rows(
+                ("-0x1.f92cb12bc7f79p-11", "0x1.01b65e5f89d56p-5", "0x1.088fe96e42e43p-9",
+                 "0x1.03f99549cb96bp-8", "-0x1.22fa35307534dp-5", "-0x1.398541a590772p-4",
+                 "0x1.7e76c122ac8d4p-11", "0x1.982283f942288p-6"),
+                ("0x1.8bc4a263e79a0p-10", "0x1.9b5a1f447d976p-6", "0x1.e09bf88294403p-9",
+                 "0x1.cc84eb8cb89b3p-9", "-0x1.11bf87fd5225fp-4", "-0x1.b24df8e53b945p-5",
+                 "0x1.83d2dcd983731p-9", "0x1.721e54930d627p-6"),
+                ("-0x1.1f6b39515c388p-7", "-0x1.bd004f8e297b5p-7", "0x1.ad6ccb4a5d0ebp-8",
+                 "-0x1.9c39ad58824dap-8", "-0x1.1d6d56d2fb3b1p-6", "0x1.53f8df612b7dep-4",
+                 "-0x1.9102fc56406edp-9", "-0x1.1f27252088b5bp-6"),
+            ),
+            "w_hh": hex_rows(
+                ("0x1.8c4559dffe135p-11", "-0x1.2ce4d9592284bp-10", "-0x1.efc8192a10e14p-11",
+                 "0x1.27324238134a9p-11", "0x1.a424294afb2b4p-8", "-0x1.ed56657a7ff6bp-9",
+                 "0x1.7b036ed5ee32cp-14", "0x1.bff64df29148cp-14"),
+                ("-0x1.116d4d259ddf6p-9", "-0x1.eeb061907cd88p-10", "-0x1.0380b9dcaaf6fp-11",
+                 "-0x1.53b0749ac7704p-11", "0x1.36575e6c54c11p-6", "0x1.197bb1c17697ap-8",
+                 "-0x1.9dcfc6a13944ep-10", "-0x1.a10bc19f1d856p-9"),
+            ),
+            "bias": hex_rows(
+                ("0x1.ca280f4db9598p-7", "0x1.717e4754f7550p-5", "0x1.d79014b9363bbp-8",
+                 "0x1.243d4bff1c3ffp-8", "-0x1.6ddf1007d425dp-3", "-0x1.5966a41f94146p-4",
+                 "0x1.95c9579d8722ep-7", "0x1.4e5f742f08552p-5"),
+            ),
+        }
+        got = {"out": out.data, "xs": xs.grad, "w_ih": w_ih.grad,
+               "w_hh": w_hh.grad, "bias": b.grad}
+        for name, want in recorded.items():
+            assert got[name].tobytes() == want.tobytes(), name
 
 
 class TestCrossEntropy:
