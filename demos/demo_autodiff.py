@@ -9,6 +9,7 @@ Run: python3 demos/demo_autodiff.py [--seed N]
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -20,13 +21,16 @@ from dpae.model import DPAE, ModelProfile
 def scalar_chain(seed):
     print("== a scalar chain, differentiated by hand and by tape ==")
     w = T.Parameter(np.array([[0.7]]), "w")
-    # f(w) = mean((tanh(w^2))^2); hand derivative via chain rule.
-    out = T.mean_all(T.square(T.tanh(T.square(w))))
+    # f(w) = mean((gelu(w^2))^2), gelu(u) = u Phi(u); hand derivative via
+    # chain rule with gelu'(u) = Phi(u) + u phi(u).
+    out = T.mean_all(T.square(T.gelu(T.square(w))))
     T.zero_grads({"w": w})
     T.backward(out)
     x = 0.7
-    th = np.tanh(x * x)
-    hand = 2.0 * th * (1.0 - th * th) * 2.0 * x
+    u = x * x
+    cdf = 0.5 * (1.0 + math.erf(u / math.sqrt(2.0)))
+    pdf = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    hand = 2.0 * (u * cdf) * (cdf + u * pdf) * 2.0 * x
     print(f"   f(w) = {out.data.item():.10f}")
     print(f"   tape dL/dw = {w.grad.item():+.10f}")
     print(f"   hand dL/dw = {hand:+.10f}")

@@ -295,11 +295,6 @@ def normalize_matrix(x, channel_min, channel_max, clip=False):
     return out
 
 
-def denormalize_matrix(x, channel_min, channel_max):
-    span = channel_max - channel_min
-    return np.where(span > 0.0, x * span + channel_min, channel_min)
-
-
 def normalize(dataset):
     """Map every channel onto [0, 1] using train-split statistics.
 

@@ -112,7 +112,7 @@ def transformer_block(x, params, prefix, profile, train_mode=False, rng=None):
     return T.add(x, h)
 
 
-def lstm_traverse(seq, params, profile):
+def lstm_traverse(seq, params):
     """Two stacked LSTM passes over the rows, class token (row 0) fed last.
 
     Returns the final cell state of the top layer.
@@ -139,7 +139,7 @@ def run_encoder(xp_masked, params, profile, train_mode=False, rng=None):
         seq = transformer_block(seq, params, f"enc.block{b}", profile,
                                 train_mode, rng)
     class_row = T.slice_rows(seq, 0, 1)
-    latent = latent_head(lstm_traverse(seq, params, profile), params)
+    latent = latent_head(lstm_traverse(seq, params), params)
     return latent, class_row
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -85,9 +85,20 @@ class MlpHead:
 
 @dataclass
 class Forest:
+    """Every tree in one depth-first node table; tree t starts at `roots[t]`.
+
+    A split sends x to `left` if `x[feature] <= threshold`, else to `right`; a
+    leaf is its own left and right child. `value` is each node's class
+    frequencies (one row per node) or mean size over its bootstrap rows.
+    """
     task: str
     n_features: int
-    trees: list
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +243,6 @@ def fit_end_to_end(samples, labels, config=None, task="classify"):
 # ---------------------------------------------------------------------------
 # random forest
 
-def _leaf(y, task):
-    if task == "classify":
-        counts = np.bincount(y, minlength=len(CLASS_ORDER)).astype(float)
-        return {"value": (counts / counts.sum()).tolist()}
-    return {"value": float(np.mean(y))}
-
-
-def _is_pure(y, task):
-    if task == "classify":
-        return np.unique(y).size == 1
-    return float(np.max(y) - np.min(y)) == 0.0
-
-
 def _best_split(X, y, feats, task):
     """Lowest weighted child impurity over midpoint thresholds; None if flat."""
     n = y.size
@@ -280,36 +278,24 @@ def _best_split(X, y, feats, task):
     return best
 
 
-def _build_tree(X, y, task, depth, config, m_try, rng):
-    if depth >= config.max_depth or y.size < 2 or _is_pure(y, task):
-        return _leaf(y, task)
+def _grow(table, X, y, task, depth, config, m_try, rng):
+    """Append the tree for (X, y) to `table` depth first; return its root."""
+    node = len(table)
+    value = (np.bincount(y, minlength=len(CLASS_ORDER)) / y.size
+             if task == "classify" else float(np.mean(y)))
+    table.append([0, 0.0, node, node, value])
+    if depth >= config.max_depth or y.size < 2 or np.ptp(y) == 0:
+        return node
     feats = rng.choice(X.shape[1], size=m_try, replace=False)
     split = _best_split(X, y, feats, task)
     if split is None:
-        return _leaf(y, task)
+        return node
     _, f, threshold = split
     go_left = X[:, f] <= threshold
-    return {
-        "feature": f,
-        "threshold": threshold,
-        "left": _build_tree(X[go_left], y[go_left], task, depth + 1, config,
-                            m_try, rng),
-        "right": _build_tree(X[~go_left], y[~go_left], task, depth + 1, config,
-                             m_try, rng),
-    }
-
-
-def _tree_eval(node, x):
-    while "feature" in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] \
-            else node["right"]
-    return node["value"]
-
-
-def _node_count(node):
-    if "feature" not in node:
-        return 1
-    return 1 + _node_count(node["left"]) + _node_count(node["right"])
+    table[node][:4] = [f, threshold] + [  # the left subtree draws first
+        _grow(table, X[side], y[side], task, depth + 1, config, m_try, rng)
+        for side in (go_left, ~go_left)]
+    return node
 
 
 def fit_random_forest(latents, labels, config=None, task="classify"):
@@ -324,14 +310,14 @@ def fit_random_forest(latents, labels, config=None, task="classify"):
     else:
         m_try = max(1, d // 3)
 
-    trees = []
+    table, roots = [], []
     for i in range(config.tree_count):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
         boot = rng.integers(0, n, size=n)
-        trees.append(_build_tree(X[boot], y[boot], task, 0, config, m_try, rng))
+        roots.append(_grow(table, X[boot], y[boot], task, 0, config, m_try, rng))
 
-    forest = Forest(task=task, n_features=d, trees=trees)
-    report = FitReport(param_count=sum(_node_count(t) for t in trees))
+    forest = Forest(task, d, *map(np.array, zip(*table)), np.array(roots))
+    report = FitReport(param_count=len(table))
     pred = predict(forest, X)
     if task == "classify":
         report.final_metrics = {
@@ -368,16 +354,19 @@ def predict(head, x):
         vals = out.data.reshape(-1)
         return float(vals[0]) if single else vals
 
+    # Every (row, tree) pair descends one level per pass; leaves are fixed points.
+    rows = np.arange(X.shape[0])[:, None]
+    node, below = None, np.broadcast_to(head.roots, (len(X), head.roots.size))
+    while not np.array_equal(node, below):
+        node = below
+        below = np.where(X[rows, head.feature[node]] <= head.threshold[node],
+                         head.left[node], head.right[node])
     if head.task == "classify":
-        votes = np.zeros((X.shape[0], len(CLASS_ORDER)))
-        for tree in head.trees:
-            for r, row in enumerate(X):
-                votes[r, int(np.argmax(_tree_eval(tree, row)))] += 1.0
-        probs = votes / len(head.trees)
+        votes = np.eye(len(CLASS_ORDER))[np.argmax(head.value[node], axis=2)]
+        probs = votes.mean(axis=1)
         return probs[0] if single else probs
-    vals = np.array([
-        np.mean([_tree_eval(tree, row) for tree in head.trees]) for row in X
-    ])
+    # A contiguous (rows, trees) mean sums each row in tree order.
+    vals = head.value[node].mean(axis=1)
     return float(vals[0]) if single else vals
 
 
@@ -391,10 +380,41 @@ def save_head(head, dir_path):
         save_params(head.params, dir_path, meta)
         return
     os.makedirs(dir_path, exist_ok=True)
-    doc = {"kind": "forest", "task": head.task, "n_features": head.n_features,
-           "trees": head.trees}
     with open(os.path.join(dir_path, "forest.json"), "w") as fh:
-        json.dump(doc, fh)
+        json.dump({"kind": "forest", **asdict(head)}, fh,
+                  default=np.ndarray.tolist)
+
+
+def _forest_from_doc(doc, path):
+    """Rebuild a forest, or raise IOError unless every descent stays inside the
+    table and ends: each node is a leaf or a split whose children follow it."""
+    if not isinstance(doc, dict) or doc.get("kind") != "forest" \
+            or set(doc) != {"kind", *(f.name for f in fields(Forest))} \
+            or doc["task"] not in ("classify", "regress") \
+            or type(doc["n_features"]) is not int:
+        raise IOError(f"{path} is not a forest document")
+    try:  # one array for the three index columns makes unequal lengths fail
+        feature, left, right = links = np.array(
+            [doc["feature"], doc["left"], doc["right"]])
+        threshold, value = (np.asarray(doc[k], dtype=float)
+                            for k in ("threshold", "value"))
+        roots = np.asarray(doc["roots"])
+    except (TypeError, ValueError):
+        raise IOError(f"{path}: ragged or non-numeric node table") from None
+    n, here = links.shape[-1], np.arange(links.shape[-1])
+    width = (len(CLASS_ORDER),) if doc["task"] == "classify" else ()
+    if links.ndim != 2 or threshold.shape != (n,) or value.shape != (n, *width) \
+            or roots.ndim != 1 or roots.size == 0 \
+            or links.dtype.kind != "i" or roots.dtype.kind != "i":
+        raise IOError(f"{path}: ragged or non-numeric node table")
+    split = (left != here) | (right != here)
+    if np.any((feature < 0) | (feature >= doc["n_features"])) \
+            or np.any((roots < 0) | (roots >= n)) or np.any(split & (
+                (np.minimum(left, right) <= here) | (np.maximum(left, right) >= n))):
+        raise IOError(f"{path}: a feature, root or child index is out of range, "
+                      "or a child does not follow its split")
+    return Forest(doc["task"], doc["n_features"], feature, threshold, left,
+                  right, value, roots)
 
 
 def load_head(dir_path):
@@ -402,10 +422,7 @@ def load_head(dir_path):
     if os.path.exists(forest_path):
         with open(forest_path) as fh:
             doc = json.load(fh)
-        if doc.get("kind") != "forest":
-            raise IOError(f"{forest_path} is not a forest document")
-        return Forest(task=doc["task"], n_features=doc["n_features"],
-                      trees=doc["trees"])
+        return _forest_from_doc(doc, forest_path)
     meta, values = load_params(dir_path)
     if meta.get("kind") != "head":
         raise IOError(f"checkpoint at {dir_path} is not a diagnosis head")

@@ -29,7 +29,7 @@ _COND_LIMIT = 1e12
 @dataclass
 class ShapConfig:
     background: np.ndarray
-    coalition_samples: int = 2048
+    coalition_samples: int = 256
     seed: int = 0
     exact_mode: bool = False
 

@@ -151,19 +151,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"hadamard shape mismatch: {a.data.shape} * {b.data.shape}")
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    out._backward_fn = backward
-    return out
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python float constant (not a tape node)."""
     factor = float(factor)
@@ -171,28 +158,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
     def backward(g):
         _accum(a, g * factor)
-
-    out._backward_fn = backward
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y, parents=(a,))
-
-    def backward(g):
-        _accum(a, g * y * (1.0 - y))
-
-    out._backward_fn = backward
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y, parents=(a,))
-
-    def backward(g):
-        _accum(a, g * (1.0 - y * y))
 
     out._backward_fn = backward
     return out
@@ -217,16 +182,6 @@ def square(a: Tensor) -> Tensor:
 
     def backward(g):
         _accum(a, 2.0 * g * a.data)
-
-    out._backward_fn = backward
-    return out
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.array(a.data.sum()), parents=(a,))
-
-    def backward(g):
-        _accum(a, np.full_like(a.data, float(g)))
 
     out._backward_fn = backward
     return out

@@ -1,5 +1,6 @@
 """Diagnosis-head tests: MLP and forest fitting, early stopping, persistence."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -212,10 +213,45 @@ class TestForest:
         forest, _ = H.fit_random_forest(latents, labels, task="classify")
         probe = np.array([3.0, 4.0])
         votes = np.zeros(2)
-        for tree in forest.trees:
-            votes[int(np.argmax(H._tree_eval(tree, probe)))] += 1.0
+        for node in forest.roots:
+            while forest.left[node] != node:  # a leaf is its own child
+                node = forest.left[node] \
+                    if probe[forest.feature[node]] <= forest.threshold[node] \
+                    else forest.right[node]
+            votes[int(np.argmax(forest.value[node]))] += 1.0
         np.testing.assert_allclose(H.predict(forest, probe),
-                                   votes / len(forest.trees), atol=1e-15)
+                                   votes / forest.roots.size, atol=1e-15)
+
+    # Recorded from the nested-dict forest, walked one row and one tree at a
+    # time, that the node table replaced: node count, sha256 of the float.hex
+    # of every prediction on 128 rows, and float.hex of one row's prediction.
+    @pytest.mark.parametrize("task, nodes, digest, one", [
+        ("classify", 904,
+         "a6635bfd0086dfe8780c20c22b2fe6b59ab4223a202fd5363ffc3afe25c3fe70",
+         ["0x1.999999999999ap-3", "0x1.999999999999ap-1"]),
+        ("regress", 2134,
+         "4cc477324a78facf970a718c036790c59a1f23c30cdd7248b19e98a2651c3e41",
+         ["0x1.7f56a7c3520e2p+0"]),
+    ], ids=["classify", "regress"])
+    def test_predictions_pinned_bitwise(self, tmp_path, task, nodes, digest,
+                                        one):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(160, 12))
+        labels = [H.DiagnosisLabel(
+            Location.HOT_LEG if x[0] + x[1] * x[2] > 0 else Location.COLD_LEG,
+            1.0 + abs(x[3] + 0.5 * x[4])) for x in X]
+        probe = np.random.default_rng(22).normal(size=(128, 12))
+        forest, report = H.fit_random_forest(
+            list(X), labels, H.HeadConfig(kind="random_forest", tree_count=20,
+                                          seed=5), task=task)
+        H.save_head(forest, tmp_path / "forest")
+        for f in (forest, H.load_head(tmp_path / "forest")):
+            hexes = ",".join(float.hex(float(v))
+                             for v in np.ravel(H.predict(f, probe)))
+            assert hashlib.sha256(hexes.encode()).hexdigest() == digest
+            assert [float.hex(float(v))
+                    for v in np.ravel(H.predict(f, probe[7]))] == one
+        assert report.param_count == forest.feature.size == nodes
 
     def test_probabilities_sum_to_one(self):
         latents, labels = blob_toy(seed=14)
@@ -285,6 +321,59 @@ class TestPersistence:
             manifest.write_text(json.dumps(doc))
             with pytest.raises(IOError):
                 H.load_head(tmp_path / "head")
+
+    MALFORMED = {
+        "missing_key": lambda doc, split: doc.pop("roots"),
+        "extra_key": lambda doc, split: doc.update(trees=[]),
+        "bad_task": lambda doc, split: doc.update(task="cluster"),
+        "float_width": lambda doc, split: doc.update(n_features=2.0),
+        "short_column": lambda doc, split: doc.update(left=doc["left"][:-1]),
+        "nested_entry": lambda doc, split: doc["feature"].__setitem__(0, [0, 1]),
+        "float_index": lambda doc, split: doc["left"].__setitem__(split, 1.5),
+        "text_threshold": lambda doc, split: doc["threshold"].__setitem__(0, "x"),
+        "short_value": lambda doc, split: doc.update(value=doc["value"][:-1]),
+        "narrow_value": lambda doc, split: doc.update(
+            value=[row[:1] for row in doc["value"]]),
+        "no_roots": lambda doc, split: doc.update(roots=[]),
+        "feature_too_big": lambda doc, split: doc["feature"].__setitem__(
+            split, doc["n_features"]),
+        "feature_negative": lambda doc, split: doc["feature"].__setitem__(
+            split, -1),
+        "root_too_big": lambda doc, split: doc["roots"].__setitem__(
+            0, len(doc["left"])),
+        "root_negative": lambda doc, split: doc["roots"].__setitem__(0, -1),
+        "child_too_big": lambda doc, split: doc["right"].__setitem__(
+            split, len(doc["left"])),
+        "child_is_self": lambda doc, split: doc["right"].__setitem__(
+            split, split),
+        "child_before_split": lambda doc, split: doc["left"].__setitem__(
+            split, split - 1),
+    }
+
+    @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_forest_rejected(self, tmp_path, edit):
+        latents, labels = blob_toy(seed=19)
+        forest, _ = H.fit_random_forest(latents, labels, task="classify")
+        H.save_head(forest, tmp_path / "forest")
+        path = tmp_path / "forest" / "forest.json"
+        doc = json.loads(path.read_text())
+        split = next(i for i, left in enumerate(doc["left"])
+                     if left != i and i > 0)
+        edit(doc, split)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IOError):
+            H.load_head(tmp_path / "forest")
+
+    def test_nested_tree_forest_file_rejected(self, tmp_path):
+        d = tmp_path / "old"
+        d.mkdir()
+        leaf = {"value": [1.0, 0.0]}
+        (d / "forest.json").write_text(json.dumps(
+            {"kind": "forest", "task": "classify", "n_features": 2,
+             "trees": [{"feature": 0, "threshold": 0.5, "left": leaf,
+                        "right": {"value": [0.0, 1.0]}}]}))
+        with pytest.raises(IOError):
+            H.load_head(d)
 
     def test_wrong_kind_rejected(self, tmp_path):
         d = tmp_path / "bad"

@@ -32,7 +32,7 @@ class TestMatmul:
     def test_gradient_vs_finite_differences(self):
         a = T.Parameter(rand((3, 4), seed=2), "a")
         b = T.Parameter(rand((4, 2), seed=3), "b")
-        err = T.grad_check(lambda: T.sum_all(T.matmul(a, b)), [a, b])
+        err = T.grad_check(lambda: T.mean_all(T.matmul(a, b)), [a, b])
         assert err <= 1e-7
 
 
@@ -59,7 +59,8 @@ class TestSoftmaxRows:
     def test_gradient(self):
         x = T.Parameter(rand((3, 5), seed=4), "x")
         w = T.Tensor(rand((3, 5), seed=5))
-        err = T.grad_check(lambda: T.sum_all(T.hadamard(T.softmax_rows(x), w)), [x])
+        err = T.grad_check(
+            lambda: T.mean_all(T.square(T.sub(T.softmax_rows(x), w))), [x])
         assert err <= 1e-7
 
 
@@ -88,19 +89,13 @@ class TestLayerNorm:
         bias = T.Parameter(rand((6,), seed=9), "b")
         w = T.Tensor(rand((3, 6), seed=10))
         err = T.grad_check(
-            lambda: T.sum_all(T.hadamard(T.layer_norm(x, gain, bias), w)),
+            lambda: T.mean_all(T.square(T.sub(T.layer_norm(x, gain, bias), w))),
             [x, gain, bias],
         )
         assert err <= 1e-6
 
 
 class TestElementwise:
-    def test_sigmoid_zero(self):
-        assert T.sigmoid(T.Tensor([[0.0]])).item() == 0.5
-
-    def test_tanh_zero(self):
-        assert T.tanh(T.Tensor([[0.0]])).item() == 0.0
-
     def test_gelu_known_values(self):
         # gelu(0) = 0 and gelu(x) - gelu(-x) = x
         assert T.gelu(T.Tensor([[0.0]])).item() == 0.0
@@ -121,33 +116,27 @@ class TestElementwise:
     def test_bias_row_gradient(self):
         a = T.Parameter(rand((4, 3), seed=11), "a")
         b = T.Parameter(rand((1, 3), seed=12), "b")
-        err = T.grad_check(lambda: T.sum_all(T.square(T.add(a, b))), [a, b])
-        assert err <= 1e-7
-
-    def test_hadamard_gradient(self):
-        a = T.Parameter(rand((3, 3), seed=13), "a")
-        b = T.Parameter(rand((3, 3), seed=14), "b")
-        err = T.grad_check(lambda: T.sum_all(T.hadamard(a, b)), [a, b])
+        err = T.grad_check(lambda: T.mean_all(T.square(T.add(a, b))), [a, b])
         assert err <= 1e-7
 
 
 class TestBackward:
     def test_sum_of_parameter_gives_ones(self):
         w = T.Parameter(rand((3, 2), seed=15), "w")
-        T.backward(T.sum_all(w))
+        T.backward(T.scale(T.mean_all(w), 6.0))
         np.testing.assert_array_equal(w.grad, np.ones((3, 2)))
 
     def test_quadratic_form(self):
         w = T.Parameter([[1.0, 2.0]], "w")
-        out = T.sum_all(T.hadamard(w, w))
+        out = T.scale(T.mean_all(T.square(w)), 2.0)
         T.backward(out)
         np.testing.assert_allclose(w.grad, [[2.0, 4.0]])
 
     def test_diamond_graph_accumulates_both_paths(self):
         # y = a*a + 3a  =>  dy/da = 2a + 3
         a = T.Parameter([[2.0]], "a")
-        y = T.add(T.hadamard(a, a), T.scale(a, 3.0))
-        T.backward(T.sum_all(y))
+        y = T.add(T.square(a), T.scale(a, 3.0))
+        T.backward(T.mean_all(y))
         np.testing.assert_allclose(a.grad, [[7.0]])
 
     def test_non_scalar_root_rejected(self):
@@ -170,7 +159,7 @@ class TestBackward:
         w = T.Parameter(rand((2, 2), seed=19), "w")
         u = T.Parameter(rand((2, 2), seed=20), "u")
         T.zero_grads([w, u])
-        T.backward(T.sum_all(T.square(w)))
+        T.backward(T.mean_all(T.square(w)))
         assert np.all(u.grad == 0.0)
 
 
@@ -183,24 +172,24 @@ class TestStructuralOps:
 
     def test_slice_rows_gradient(self):
         x = T.Parameter(rand((5, 3), seed=22), "x")
-        err = T.grad_check(lambda: T.sum_all(T.square(T.slice_rows(x, 1, 3))), [x])
+        err = T.grad_check(lambda: T.mean_all(T.square(T.slice_rows(x, 1, 3))), [x])
         assert err <= 1e-7
 
     def test_slice_cols_gradient(self):
         x = T.Parameter(rand((3, 6), seed=23), "x")
-        err = T.grad_check(lambda: T.sum_all(T.square(T.slice_cols(x, 2, 5))), [x])
+        err = T.grad_check(lambda: T.mean_all(T.square(T.slice_cols(x, 2, 5))), [x])
         assert err <= 1e-7
 
     def test_concat_cols_gradient(self):
         a = T.Parameter(rand((2, 2), seed=24), "a")
         b = T.Parameter(rand((2, 3), seed=25), "b")
-        err = T.grad_check(lambda: T.sum_all(T.square(T.concat_cols([a, b]))), [a, b])
+        err = T.grad_check(lambda: T.mean_all(T.square(T.concat_cols([a, b]))), [a, b])
         assert err <= 1e-7
 
     def test_reshape_transpose_gradient(self):
         x = T.Parameter(rand((4, 6), seed=26), "x")
         err = T.grad_check(
-            lambda: T.sum_all(T.square(T.transpose(T.reshape(x, (8, 3))))), [x]
+            lambda: T.mean_all(T.square(T.transpose(T.reshape(x, (8, 3))))), [x]
         )
         assert err <= 1e-7
 
@@ -273,7 +262,7 @@ class TestLstm:
         x = T.Parameter(rand((1, d), seed=31), "x")
 
         def f():
-            return T.sum_all(T.square(T.lstm(x, w_ih, w_hh, b)))
+            return T.mean_all(T.square(T.lstm(x, w_ih, w_hh, b)))
 
         err = T.grad_check(f, [x, w_ih, w_hh, b], eps=1e-5)
         assert err <= 1e-6
@@ -284,7 +273,7 @@ class TestLstm:
         seq = T.Parameter(rand((3, d), seed=35), "seq")
 
         def f():
-            return T.sum_all(T.square(T.lstm(seq, w_ih, w_hh, b)))
+            return T.mean_all(T.square(T.lstm(seq, w_ih, w_hh, b)))
 
         err = T.grad_check(f, [seq, w_ih, w_hh, b], eps=1e-5)
         assert err <= 1e-6
@@ -292,14 +281,15 @@ class TestLstm:
     def test_matches_unrolled_cells_bit_for_bit(self):
         # Recorded from the per-step path this op replaced: one fused cell
         # per row returning [h; c], split with slice_rows, the hidden states
-        # and the final cell state concatenated. Loss sum(out ** 2).
+        # and the final cell state concatenated. Loss sum(out ** 2), taken as
+        # 10 * mean so that every entry's seed gradient is exactly 1.0.
         rng = np.random.default_rng(41)
         xs = T.Parameter(rng.uniform(-1.0, 1.0, (4, 3)), "xs")
         w_ih = T.Parameter(rng.uniform(-0.5, 0.5, (3, 8)), "w_ih")
         w_hh = T.Parameter(rng.uniform(-0.5, 0.5, (2, 8)), "w_hh")
         b = T.Parameter(rng.uniform(-0.5, 0.5, (1, 8)), "b")
         out = T.lstm(xs, w_ih, w_hh, b)
-        T.backward(T.sum_all(T.square(out)))
+        T.backward(T.scale(T.mean_all(T.square(out)), 10.0))
         recorded = {
             "out": hex_rows(
                 ("0x1.fb95e721b5af0p-10", "-0x1.b444a544b91cfp-4"),
@@ -368,13 +358,13 @@ class TestCrossEntropy:
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         w = T.Parameter(rand((3,), seed=37), "w")
-        err = T.grad_check(lambda: T.sum_all(T.square(w)), [w])
+        err = T.grad_check(lambda: T.mean_all(T.square(w)), [w])
         assert err <= 1e-9
 
     def test_eps_bounds_enforced(self):
         w = T.Parameter([[1.0]], "w")
         with pytest.raises(ValueError):
-            T.grad_check(lambda: T.sum_all(w), [w], eps=1e-2)
+            T.grad_check(lambda: T.mean_all(w), [w], eps=1e-2)
 
     def test_sampled_entries(self):
         w = T.Parameter(rand((10, 10), seed=39), "w")
@@ -384,19 +374,21 @@ class TestGradCheck:
         assert err <= 1e-9
 
     def test_higher_order_stencil(self):
+        # gelu(w) - w keeps every entry's gradient away from zero; w holds
+        # -0.748, next to gelu's stationary point, where a gradient carrying
+        # gelu'(w) as a factor is too small to certify at this tolerance.
         w = T.Parameter(rand((4, 4), seed=41), "w")
-        v = T.Tensor(rand((4, 4), seed=42))
         err = T.grad_check(
-            lambda: T.sum_all(T.hadamard(T.gelu(w), v)), [w], order=4
+            lambda: T.mean_all(T.square(T.sub(T.gelu(w), w))), [w], order=4
         )
         assert err <= 1e-9
         with pytest.raises(ValueError):
-            T.grad_check(lambda: T.sum_all(w), [w], order=3)
+            T.grad_check(lambda: T.mean_all(w), [w], order=3)
 
     def test_finite_outputs_required(self):
         w = T.Parameter([[np.inf]], "w")
         with pytest.raises(FloatingPointError):
-            T.grad_check(lambda: T.sum_all(w), [w])
+            T.grad_check(lambda: T.mean_all(w), [w])
 
 
 def test_forward_values_stay_finite_on_finite_inputs():
@@ -406,8 +398,6 @@ def test_forward_values_stay_finite_on_finite_inputs():
         T.softmax_rows(x),
         T.layer_norm(x, T.Tensor(np.ones(8)), T.Tensor(np.zeros(8))),
         T.gelu(x),
-        T.sigmoid(T.scale(x, 100.0)),
-        T.tanh(T.scale(x, 100.0)),
     ]
     for out in outs:
         assert np.isfinite(out.data).all()
