@@ -12,8 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -57,41 +55,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _DirLock:
-    """Exclusive marker file; concurrent commands on one directory abort."""
+class _OutDir:
+    """An --out path under $DPAE_OUTPUT_ROOT, held by an exclusive marker
+    file while the command writes; concurrent commands on it abort."""
 
-    def __init__(self, dir_path):
-        self.path = os.path.join(dir_path, LOCK_NAME)
+    def __init__(self, path):
+        self.path = os.path.join(os.environ.get(OUTPUT_ROOT_ENV, ""), path)
+        self.lock = os.path.join(self.path, LOCK_NAME)
 
     def __enter__(self):
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
+        os.makedirs(self.path, exist_ok=True)
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            self.fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise OSError(
-                f"output directory is locked by another command: {self.path}")
-        return self
+                f"output directory is locked by another command: {self.lock}")
+        return self.path
 
     def __exit__(self, *exc):
         os.close(self.fd)
-        os.unlink(self.path)
-
-
-def _resolve_out(path):
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
+        os.unlink(self.lock)
 
 
 def _sub_seed(seed, tag, index=0):
     """Deterministic derived integer seed for stream separation."""
     return int(np.random.SeedSequence((seed, tag, index)).generate_state(1)[0])
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
 
 
 def _stamp(cfg, command, extra=None):
@@ -111,20 +99,11 @@ def _perturbed(cfg, tag, index, x, grid):
     return D.unpatchify(patches, grid), mask
 
 
-def _repr_rows(matrix):
-    """Rows of exact float reprs, so CSV values round-trip bit for bit."""
-    return ([repr(float(v)) for v in row] for row in matrix)
-
-
 def _read_latents_csv(path):
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
-    rows = list(csv.reader(lines))
-    header, body = rows[0], rows[1:]
-    d = len(header) - 2
-    Z = np.array([[float(v) for v in row[:d]] for row in body])
-    labels = [H.DiagnosisLabel(D.Location(row[d]), float(row[d + 1]))
-              for row in body]
+    _, rows = D.read_csv(path)
+    Z = np.array([row[:-2] for row in rows], dtype=float)
+    labels = [H.DiagnosisLabel(D.Location(loc), float(size))
+              for *_, loc, size in rows]
     return Z, labels
 
 
@@ -150,8 +129,7 @@ def cmd_gen_data(args):
     cfg = resolve_config(args.config, scale=args.scale, seed=args.seed,
                          count=args.count)
     profile = cfg.profile()
-    out = _resolve_out(args.out)
-    with _DirLock(out):
+    with _OutDir(args.out) as out:
         dataset = D.generate_dataset(cfg.count, seed=cfg.seed, p=profile.p,
                                      registry=D.registry_for(profile.l))
         dataset = D.normalize(dataset)
@@ -163,7 +141,6 @@ def cmd_gen_data(args):
 def cmd_train_dpae(args):
     cfg = resolve_config(args.config, scale=args.scale, seed=args.seed,
                          epochs=args.epochs)
-    out = _resolve_out(args.out)
     if cfg.epochs < 1:
         raise UsageError("epochs must be at least 1")
     dataset = D.load_dataset(args.data)
@@ -174,7 +151,7 @@ def cmd_train_dpae(args):
             f"{profile.p}x{profile.l}")
     model = DPAE(profile, seed=cfg.seed)
     train_cfg = TR.TrainConfig(epochs=cfg.epochs, seed=cfg.seed, **cfg.train)
-    with _DirLock(out):
+    with _OutDir(args.out) as out:
         history, _ = TR.train(dataset, model, train_cfg, out_dir=out,
                               log_every=args.log_every)
         ckpt = os.path.join(out, "checkpoint_final")
@@ -183,13 +160,13 @@ def cmd_train_dpae(args):
         if not np.array_equal(model.latent_vector(probe),
                               reloaded.latent_vector(probe)):
             raise NumericalFailure("checkpoint reload failed verification")
-        _write_json(os.path.join(out, "run.json"),
-                    _stamp(cfg, "train-dpae", {
-                        "steps": len(history),
-                        "final_loss": history[-1][5],
-                        "checkpoint": "checkpoint_final",
-                        "verified": True,
-                    }))
+        D.write_json(os.path.join(out, "run.json"),
+                     _stamp(cfg, "train-dpae", {
+                         "steps": len(history),
+                         "final_loss": history[-1][5],
+                         "checkpoint": "checkpoint_final",
+                         "verified": True,
+                     }))
     print(f"trained {len(history)} steps; final loss {history[-1][5]:.6f}")
     return 0
 
@@ -197,7 +174,6 @@ def cmd_train_dpae(args):
 def cmd_reconstruct(args):
     cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
                          ratio_pad=args.pad)
-    out = _resolve_out(args.out)
     model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
     if not (0 <= args.index < len(dataset.samples)):
@@ -217,12 +193,12 @@ def cmd_reconstruct(args):
         "sample_index": args.index,
         "passthrough": bool(args.passthrough),
     })
-    with _DirLock(out):
+    with _OutDir(args.out) as out:
         for name, matrix in (("clean", x), ("perturbed", x_pert),
                              ("reconstructed", recon)):
-            D.write_stamped_csv(os.path.join(out, f"{name}.csv"),
-                                stamp["config"], names, _repr_rows(matrix))
-        _write_json(os.path.join(out, "report.json"), {
+            D.write_csv(os.path.join(out, f"{name}.csv"), names, matrix,
+                        config=stamp["config"])
+        D.write_json(os.path.join(out, "report.json"), {
             **stamp,
             "reconstruction": report,
             "masked_rows": [int(i) for i in np.nonzero(mask)[0]],
@@ -239,7 +215,6 @@ def cmd_reconstruct(args):
 def cmd_extract_latents(args):
     cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
                          ratio_pad=args.pad)
-    out = _resolve_out(args.out)
     model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
 
@@ -254,14 +229,14 @@ def cmd_extract_latents(args):
         raise NumericalFailure("non-finite latent encountered")
 
     stamp = _stamp(cfg, "extract-latents", {"clean": bool(args.clean)})
-    with _DirLock(out):
-        D.write_stamped_csv(
-            os.path.join(out, "latents.csv"), stamp["config"],
+    with _OutDir(args.out) as out:
+        D.write_csv(
+            os.path.join(out, "latents.csv"),
             [f"z{i}" for i in range(Z.shape[1])] + ["location", "size_cm"],
-            (row + [lb.location.value, repr(float(lb.size_cm))]
-             for row, lb in zip(_repr_rows(Z), labels)))
-        _write_json(os.path.join(out, "run.json"),
-                    {**stamp, "rows": len(labels)})
+            ([*z, lb.location.value, lb.size_cm] for z, lb in zip(Z, labels)),
+            config=stamp["config"])
+        D.write_json(os.path.join(out, "run.json"),
+                     {**stamp, "rows": len(labels)})
     print(f"wrote {len(labels)} latent rows of width {Z.shape[1] + 2}")
     return 0
 
@@ -274,7 +249,6 @@ def _head_config(cfg, kind, offset):
 def cmd_train_heads(args):
     cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
                          ratio_pad=args.pad)
-    out = _resolve_out(args.out)
     wanted = ("mlp", "forest", "e2e") if args.head == "all" else (args.head,)
     if ("mlp" in wanted or "forest" in wanted) and not args.latents:
         raise UsageError("--latents is required for mlp/forest heads")
@@ -285,7 +259,7 @@ def cmd_train_heads(args):
     train_idx = dataset.indices("train")
     reports = {}
 
-    with _DirLock(out):
+    with _OutDir(args.out) as out:
         if "mlp" in wanted or "forest" in wanted:
             Z, labels = _read_latents_csv(args.latents)
             if len(labels) != len(dataset.samples):
@@ -325,7 +299,7 @@ def cmd_train_heads(args):
                 H.save_head(head, os.path.join(out, name))
                 reports[name] = report
 
-        _write_json(os.path.join(out, "fit_reports.json"), {
+        D.write_json(os.path.join(out, "fit_reports.json"), {
             **_stamp(cfg, "train-heads", {"heads": sorted(reports)}),
             "reports": {name: asdict(r) for name, r in reports.items()},
         })
@@ -336,7 +310,6 @@ def cmd_train_heads(args):
 def cmd_evaluate(args):
     cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
                          ratio_pad=args.pad)
-    out = _resolve_out(args.out)
     model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
     heads = _load_heads(args.heads)
@@ -392,8 +365,8 @@ def cmd_evaluate(args):
         }),
         "heads": results,
     }
-    with _DirLock(out):
-        _write_json(os.path.join(out, "metrics.json"), payload)
+    with _OutDir(args.out) as out:
+        D.write_json(os.path.join(out, "metrics.json"), payload)
     for name in sorted(results):
         keys = results[name]
         line = (f"macro_f1 {keys['macro_f1']:.3f}" if "macro_f1" in keys
@@ -412,7 +385,6 @@ def cmd_explain(args):
         band = (lo, hi)
     else:
         band = cfg.size_band
-    out = _resolve_out(args.out)
     model, _ = TR.load_checkpoint(args.model)
     shap_kwargs = dict(cfg.shap)
     if args.coalitions is not None:
@@ -470,25 +442,21 @@ def cmd_explain(args):
         "background_size": bg_count,
         "band_sample_count": len(band_samples),
     })
-    with _DirLock(out):
+    with _OutDir(args.out) as out:
         I.write_importance_report(out, report, names, meta=stamp)
-        D.write_stamped_csv(
-            os.path.join(out, "phi.csv"), stamp["config"],
-            ["latent_index", "phi"],
-            ([i, repr(float(v))] for i, v in enumerate(report.phi)))
+        D.write_csv(os.path.join(out, "phi.csv"), ["latent_index", "phi"],
+                    enumerate(report.phi), config=stamp["config"])
         rank_of = {ch: r for r, ch in enumerate(report.ranking)}
-        D.write_stamped_csv(
-            os.path.join(out, "psi.csv"), stamp["config"],
-            ["node", "psi", "rank"],
-            ([name, repr(float(report.psi[m])), rank_of[m]]
-             for m, name in enumerate(names)))
+        D.write_csv(os.path.join(out, "psi.csv"), ["node", "psi", "rank"],
+                    ((name, report.psi[m], rank_of[m])
+                     for m, name in enumerate(names)),
+                    config=stamp["config"])
         band_stack = np.stack(band_samples)
         for r, channel in enumerate(report.ranking[:5]):
-            D.write_stamped_csv(
+            D.write_csv(
                 os.path.join(out, f"top{r + 1}_{names[channel]}.csv"),
-                stamp["config"],
                 [f"sample_{k}" for k in range(len(band_samples))],
-                _repr_rows(band_stack[:, :, channel].T))
+                band_stack[:, :, channel].T, config=stamp["config"])
     top = [names[c] for c in report.ranking[:5]]
     print(f"phi length {d} (sum {report.phi.sum():.6f}); top channels: "
           + ", ".join(top))
@@ -593,9 +561,8 @@ def cmd_gradcheck(args):
         "worst": worst,
     }
     if args.out:
-        out = _resolve_out(args.out)
-        with _DirLock(out):
-            _write_json(os.path.join(out, "gradcheck.json"), payload)
+        with _OutDir(args.out) as out:
+            D.write_json(os.path.join(out, "gradcheck.json"), payload)
     print(f"worst {worst:.3e} (tolerance {GRADCHECK_TOLERANCE:.0e})")
     if worst > GRADCHECK_TOLERANCE:
         raise NumericalFailure(

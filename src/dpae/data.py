@@ -9,6 +9,9 @@ The perturbation primitives mirror deployment defects: per-channel Gaussian
 noise at a target signal-to-noise ratio (``add_noise``) and whole-patch
 masking (``mask_patches``) after the channel-major patchify reshape.
 ``encoder.perturb_patches`` is the one place that composes them.
+
+The artifact layer (``write_json``, ``read_json``, ``write_csv`` and
+``read_csv``) writes and reads every JSON and CSV file that stages hand on.
 """
 
 import csv
@@ -370,13 +373,38 @@ def mask_patches(xp, ratio_pad, rng):
     return out, mask
 
 
-def write_stamped_csv(path, config, header, rows):
-    """CSV whose first line is ``# config=`` and the sorted-key config JSON."""
+def write_json(path, doc):
+    """Indented JSON; ndarrays are written as lists."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, default=np.ndarray.tolist)
+
+
+def read_json(path):
+    """A JSON artifact; one that does not parse is an IOError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:
+            raise IOError(f"{path} is not a JSON document: {e}") from None
+
+
+def write_csv(path, header, rows, config=None):
+    """CSV whose float cells are exact reprs, so they round-trip bit for bit;
+    a `config` stamps a first ``# config=`` line with its sorted-key JSON."""
     with open(path, "w", newline="") as fh:
-        fh.write("# config=" + json.dumps(config, sort_keys=True) + "\n")
+        if config is not None:
+            fh.write("# config=" + json.dumps(config, sort_keys=True) + "\n")
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v
+                     for v in row] for row in rows)
+
+
+def read_csv(path):
+    """(header, rows) of string cells; ``#`` stamp lines are skipped."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
+    return header, rows
 
 
 def save_dataset(dataset, out_dir, meta=None):
@@ -389,11 +417,7 @@ def save_dataset(dataset, out_dir, meta=None):
     entries = []
     for i, s in enumerate(dataset.samples):
         fname = f"sample_{i:04d}.csv"
-        with open(os.path.join(out_dir, fname), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(names)
-            for row in s.matrix:
-                w.writerow([repr(float(v)) for v in row])
+        write_csv(os.path.join(out_dir, fname), names, s.matrix)
         entries.append({
             "file": fname,
             "location": s.location.value,
@@ -410,20 +434,18 @@ def save_dataset(dataset, out_dir, meta=None):
             for c in dataset.registry
         ],
         "normalization": None if dataset.channel_min is None else {
-            "min": dataset.channel_min.tolist(),
-            "max": dataset.channel_max.tolist(),
+            "min": dataset.channel_min,
+            "max": dataset.channel_max,
         },
         "samples": entries,
     }
     if meta is not None:
         manifest["meta"] = meta
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def load_dataset(in_dir):
-    with open(os.path.join(in_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(os.path.join(in_dir, "manifest.json"))
     try:
         registry = tuple(
             ChannelSpec(**{**c, "response_template":
@@ -434,12 +456,10 @@ def load_dataset(in_dir):
                       f"{e}") from None
     samples, split = [], []
     for entry in manifest["samples"]:
-        with open(os.path.join(in_dir, entry["file"]), newline="") as fh:
-            rows = list(csv.reader(fh))
-        matrix = np.array([[float(v) for v in row] for row in rows[1:]])
-        samples.append(TransientSample(
-            matrix, Location(entry["location"]), entry["size_cm"]
-        ))
+        _, rows = read_csv(os.path.join(in_dir, entry["file"]))
+        samples.append(TransientSample(np.array(rows, dtype=float),
+                                       Location(entry["location"]),
+                                       entry["size_cm"]))
         split.append(entry["split"])
     norm = manifest["normalization"]
     return Dataset(

@@ -9,14 +9,13 @@ stay comparable.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
-from .data import Location
+from .data import Location, read_json, write_json
 from .encoder import dense, init_dense
 from .training import (NAdamState, load_params, nadam_step, restore_params,
                        save_params)
@@ -161,6 +160,19 @@ def early_stop_epoch(val_losses, window=20, threshold=0.01):
     return None
 
 
+def _fit_metrics(head, X, y, **splits):
+    """Accuracy (classify) or RMSE (regress) over each named row split."""
+    out = {}
+    for name, idx in splits.items():
+        pred = predict(head, X[idx])
+        if head.task == "classify":
+            hit = np.argmax(pred, axis=1) == y[idx]
+            out[f"{name}_accuracy"] = float(np.mean(hit))
+        else:
+            out[f"{name}_rmse"] = float(np.sqrt(np.mean((pred - y[idx]) ** 2)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # fully connected heads
 
@@ -206,20 +218,9 @@ def _fit_network(X, labels, task, widths, config):
             break
 
     head = MlpHead(task=task, widths=tuple(widths), params=params)
-    report.final_metrics = _network_metrics(head, X, y, train_idx, val_idx)
+    report.final_metrics = _fit_metrics(head, X, y, train=train_idx,
+                                        val=val_idx)
     return head, report
-
-
-def _network_metrics(head, X, y, train_idx, val_idx):
-    out = {}
-    for name, idx in (("train", train_idx), ("val", val_idx)):
-        pred = predict(head, X[idx])
-        if head.task == "classify":
-            hit = np.argmax(pred, axis=1) == y[idx]
-            out[f"{name}_accuracy"] = float(np.mean(hit))
-        else:
-            out[f"{name}_rmse"] = float(np.sqrt(np.mean((pred - y[idx]) ** 2)))
-    return out
 
 
 def fit_mlp_head(latents, labels, config=None, task="classify"):
@@ -317,17 +318,8 @@ def fit_random_forest(latents, labels, config=None, task="classify"):
         roots.append(_grow(table, X[boot], y[boot], task, 0, config, m_try, rng))
 
     forest = Forest(task, d, *map(np.array, zip(*table)), np.array(roots))
-    report = FitReport(param_count=len(table))
-    pred = predict(forest, X)
-    if task == "classify":
-        report.final_metrics = {
-            "train_accuracy": float(np.mean(np.argmax(pred, axis=1) == y))
-        }
-    else:
-        report.final_metrics = {
-            "train_rmse": float(np.sqrt(np.mean((pred - y) ** 2)))
-        }
-    return forest, report
+    metrics = _fit_metrics(forest, X, y, train=slice(None))
+    return forest, FitReport(param_count=len(table), final_metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +372,8 @@ def save_head(head, dir_path):
         save_params(head.params, dir_path, meta)
         return
     os.makedirs(dir_path, exist_ok=True)
-    with open(os.path.join(dir_path, "forest.json"), "w") as fh:
-        json.dump({"kind": "forest", **asdict(head)}, fh,
-                  default=np.ndarray.tolist)
+    write_json(os.path.join(dir_path, "forest.json"),
+               {"kind": "forest", **asdict(head)})
 
 
 def _forest_from_doc(doc, path):
@@ -420,9 +411,7 @@ def _forest_from_doc(doc, path):
 def load_head(dir_path):
     forest_path = os.path.join(dir_path, "forest.json")
     if os.path.exists(forest_path):
-        with open(forest_path) as fh:
-            doc = json.load(fh)
-        return _forest_from_doc(doc, forest_path)
+        return _forest_from_doc(read_json(forest_path), forest_path)
     meta, values = load_params(dir_path)
     if meta.get("kind") != "head":
         raise IOError(f"checkpoint at {dir_path} is not a diagnosis head")

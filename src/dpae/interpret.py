@@ -9,14 +9,13 @@ yielding a per-channel importance vector and heatmap.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_csv, write_json
 from .heads import predict
 
 # Analysis window for the channel-importance cascade (break sizes, cm).
@@ -75,10 +74,16 @@ def regressor_fn(head):
 # ---------------------------------------------------------------------------
 # Shapley attributions
 
-def _coalition_value(g, x, background, bits):
-    """Mean model output with absent features replaced per background row."""
-    Z = np.where(bits[None, :], x[None, :], background)
-    return float(np.mean(g(Z)))
+def _all_coalitions(d):
+    """Every coalition of d features; row k holds the bits of k."""
+    return ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1).astype(bool)
+
+
+def _coalition_values(g, x, background, bits):
+    """Mean model output per coalition row, absent features replaced by each
+    background row in turn; one g call per coalition."""
+    return np.array([float(np.mean(g(np.where(row, x, background))))
+                     for row in bits])
 
 
 def exact_shapley(g, x, background):
@@ -94,11 +99,8 @@ def exact_shapley(g, x, background):
         raise ValueError(f"exact enumeration capped at d={_EXACT_LIMIT}, got {d}")
     background = np.atleast_2d(np.asarray(background, dtype=float))
 
-    n_masks = 1 << d
-    bit_table = ((np.arange(n_masks)[:, None] >> np.arange(d)) & 1).astype(bool)
-    v = np.empty(n_masks)
-    for mask in range(n_masks):
-        v[mask] = _coalition_value(g, x, background, bit_table[mask])
+    bit_table = _all_coalitions(d)
+    v = _coalition_values(g, x, background, bit_table)
 
     fact = [math.factorial(k) for k in range(d + 1)]
     weight = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)])
@@ -174,42 +176,32 @@ def kernel_shap(g, x, config):
 
     if d == 1:
         phi = np.array([delta])
-        return ShapResult(base_value=base, phi=phi,
-                          residual=abs(base + phi.sum() - gx))
-
-    if config.exact_mode:
+    elif config.exact_mode:
         if d > _EXACT_LIMIT:
             raise ValueError(f"exact mode capped at d={_EXACT_LIMIT}, got {d}")
-        masks = np.arange(1, (1 << d) - 1)
-        bits = ((masks[:, None] >> np.arange(d)) & 1).astype(bool)
-        weights = _shapley_kernel(d, bits.sum(axis=1))
-        values = np.array([
-            _coalition_value(g, x, background, row) for row in bits
-        ])
-        phi = _fit_constrained_wls(bits, weights, values, base, delta)
-        residual = abs(base + phi.sum() - gx)
-        return ShapResult(base_value=base, phi=phi, residual=residual)
-
-    if config.coalition_samples < d + 2:
-        raise ValueError("coalition_samples must be at least d + 2")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    count = config.coalition_samples
-    for attempt in range(4):
-        bits = _sample_coalitions(rng, d, count)
-        values = np.array([
-            _coalition_value(g, x, background, row) for row in bits
-        ])
-        weights = np.ones(len(bits))
-        try:
-            phi = _fit_constrained_wls(bits, weights, values, base, delta)
-        except np.linalg.LinAlgError:
-            if attempt == 3:
-                raise np.linalg.LinAlgError(
-                    "coalition system stayed singular after 3 doubled retries")
-            count *= 2
-            continue
-        residual = abs(base + phi.sum() - gx)
-        return ShapResult(base_value=base, phi=phi, residual=residual)
+        bits = _all_coalitions(d)[1:-1]  # every nonempty proper coalition
+        values = _coalition_values(g, x, background, bits)
+        phi = _fit_constrained_wls(bits, _shapley_kernel(d, bits.sum(axis=1)),
+                                   values, base, delta)
+    else:
+        if config.coalition_samples < d + 2:
+            raise ValueError("coalition_samples must be at least d + 2")
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+        count = config.coalition_samples
+        for _ in range(4):
+            bits = _sample_coalitions(rng, d, count)
+            values = _coalition_values(g, x, background, bits)
+            try:
+                phi = _fit_constrained_wls(bits, np.ones(len(bits)), values,
+                                           base, delta)
+                break
+            except np.linalg.LinAlgError:
+                count *= 2
+        else:
+            raise np.linalg.LinAlgError(
+                "coalition system stayed singular after 3 doubled retries")
+    return ShapResult(base_value=base, phi=phi,
+                      residual=abs(base + phi.sum() - gx))
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +300,15 @@ def select_size_band(dataset, band=DEFAULT_SIZE_BAND, split=None):
 def write_importance_report(out_dir, report, node_names, meta=None):
     """importance.json plus a heatmap CSV (rows = channels, cols = regions)."""
     os.makedirs(out_dir, exist_ok=True)
-    doc = {
-        "phi": report.phi.tolist(),
-        "psi": report.psi.tolist(),
+    write_json(os.path.join(out_dir, "importance.json"), {
+        "phi": report.phi,
+        "psi": report.psi,
         "ranking": [
-            {"channel": i, "node": node_names[i], "psi": float(report.psi[i])}
+            {"channel": i, "node": node_names[i], "psi": report.psi[i]}
             for i in report.ranking
         ],
         "meta": meta or {},
-    }
-    with open(os.path.join(out_dir, "importance.json"), "w") as fh:
-        json.dump(doc, fh, indent=2)
-    n_regions = report.heatmap.shape[1]
-    with open(os.path.join(out_dir, "heatmap.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node"] + [f"region_{n}" for n in range(n_regions)])
-        for m, name in enumerate(node_names):
-            w.writerow([name] + [repr(float(v)) for v in report.heatmap[m]])
+    })
+    regions = [f"region_{n}" for n in range(report.heatmap.shape[1])]
+    write_csv(os.path.join(out_dir, "heatmap.csv"), ["node"] + regions,
+              ([name, *row] for name, row in zip(node_names, report.heatmap)))

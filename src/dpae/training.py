@@ -7,14 +7,13 @@ Checkpoints are a JSON manifest plus a flat little-endian float64 payload
 and round-trip bit-exactly.
 """
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .data import write_stamped_csv
+from .data import read_json, write_csv, write_json
 from .model import DPAE, ModelProfile
 
 DEFAULT_CURRICULUM = (
@@ -152,11 +151,11 @@ def train(dataset, model, config, out_dir=None, log_every=0):
 
 
 def write_loss_history(path, history, config):
-    write_stamped_csv(
-        path, _config_dict(config),
-        ["epoch", "sample", "curriculum", "snr", "pad", "loss"],
-        ([e, si, ci] + [repr(float(v)) for v in (snr, pad, loss)]
-         for e, si, ci, snr, pad, loss in history))
+    # A config file may give an integer SNR; the history still writes 20.0.
+    write_csv(path, ["epoch", "sample", "curriculum", "snr", "pad", "loss"],
+              ((e, si, ci, float(snr), float(pad), loss)
+               for e, si, ci, snr, pad, loss in history),
+              config=_config_dict(config))
 
 
 def _config_dict(config):
@@ -184,15 +183,13 @@ def save_params(params, dir_path, meta):
     payload = np.concatenate(chunks).astype("<f8")
     with open(os.path.join(dir_path, "params.bin"), "wb") as fh:
         fh.write(payload.tobytes())
-    manifest = {"meta": meta, "parameters": entries, "total_size": offset}
-    with open(os.path.join(dir_path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    write_json(os.path.join(dir_path, "manifest.json"),
+               {"meta": meta, "parameters": entries, "total_size": offset})
 
 
 def load_params(dir_path):
     """Read back (manifest meta, {name: ndarray})."""
-    with open(os.path.join(dir_path, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(os.path.join(dir_path, "manifest.json"))
     with open(os.path.join(dir_path, "params.bin"), "rb") as fh:
         flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
     if flat.size != manifest["total_size"]:

@@ -9,6 +9,7 @@ so most determinism checks are straight file comparisons.
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -120,6 +121,14 @@ class TestGenData:
             cfg_path.write_text(json.dumps(doc))
             assert run_cli("gen-data", "--config", str(cfg_path),
                            "--out", str(tmp_path / "x")) == 1, doc
+
+    def test_unparsable_config_file_is_usage_error(self, tmp_path, capsys):
+        # A config file is user input, not an artifact of an earlier stage.
+        cfg_path = tmp_path / "cut.json"
+        cfg_path.write_text('{"seed": 5, "count": 1')
+        assert run_cli("gen-data", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
 
 
 class TestTrainDpae:
@@ -381,6 +390,28 @@ class TestExitCodesAndLocking:
 
     def test_lock_removed_after_success(self, ws):
         assert not os.path.exists(os.path.join(ws.data, cli.LOCK_NAME))
+
+    @pytest.mark.parametrize("artifact, command", [
+        ("heads/forest_cla/forest.json", "evaluate"),
+        ("heads/mlp_cla/manifest.json", "evaluate"),
+        ("run/checkpoint_final/manifest.json", "extract-latents"),
+        ("data/manifest.json", "extract-latents"),
+    ])
+    def test_truncated_json_artifact_is_io_error(self, ws, tmp_path, capsys,
+                                                 artifact, command):
+        copy = tmp_path / "ws"
+        for name in ("data", "run", "heads"):
+            shutil.copytree(ws.root / name, copy / name)
+        path = copy / artifact
+        path.write_bytes(path.read_bytes()[:100])
+        argv = [command, "--model", str(copy / "run" / "checkpoint_final"),
+                "--data", str(copy / "data"), "--out", str(tmp_path / "out"),
+                "--seed", SEED]
+        if command == "evaluate":
+            argv += ["--heads", str(copy / "heads")]
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and str(path) in err
 
     def test_malformed_band_is_usage_error(self, ws, tmp_path):
         for band in ("abc", "14,6"):

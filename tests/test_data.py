@@ -1,4 +1,7 @@
-"""Dataset synthesis, normalization, noise, and patch pipeline tests."""
+"""Dataset synthesis, normalization, noise, patch pipeline and artifact tests."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +284,72 @@ class TestDiskFormat:
         D.save_dataset(ds, tmp_path)
         first = (tmp_path / "sample_0000.csv").read_text().splitlines()[0]
         assert first.split(",") == [c.node_name for c in ds.registry]
+
+
+class TestArtifactLayer:
+    HEADER = ["f64", "float", "int", "str"]
+    ROWS = [[np.float64(0.1) + np.float64(0.2), 1 / 3, 7, "hot_leg"],
+            [np.float64(-2.5e-300), 20.0, -1, "cold_leg"]]
+
+    @pytest.mark.parametrize("config", [None, {"b": 2, "a": [1.5, "x"]}])
+    def test_csv_round_trip(self, tmp_path, config):
+        path = tmp_path / "t.csv"
+        D.write_csv(path, self.HEADER, self.ROWS, config=config)
+        lines = path.read_text().splitlines()
+        stamp = [] if config is None else ['# config={"a": [1.5, "x"], "b": 2}']
+        # Every float cell, numpy or not, is its exact repr; others are str.
+        assert lines == stamp + ["f64,float,int,str",
+                                 "0.30000000000000004,0.3333333333333333,7,hot_leg",
+                                 "-2.5e-300,20.0,-1,cold_leg"]
+        header, rows = D.read_csv(path)
+        assert header == self.HEADER
+        assert [r[2:] for r in rows] == [["7", "hot_leg"], ["-1", "cold_leg"]]
+        back = np.array([r[:2] for r in rows], dtype=float)
+        want = np.array([r[:2] for r in self.ROWS])
+        assert back.tobytes() == want.tobytes()
+
+    def test_json_round_trip_writes_arrays_as_lists(self, tmp_path):
+        path = tmp_path / "t.json"
+        arr = np.array([[0.1, 2.0], [1 / 3, -4.5]])
+        D.write_json(path, {"a": arr, "n": 3})
+        assert path.read_text().startswith('{\n  "a": [\n    [\n')
+        doc = D.read_json(path)
+        assert doc == {"a": arr.tolist(), "n": 3}
+        assert np.array(doc["a"]).tobytes() == arr.tobytes()
+
+    def test_unparsable_json_is_io_error(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"a": [1, 2')
+        with pytest.raises(OSError, match="cut.json"):
+            D.read_json(path)
+
+
+def test_only_the_artifact_layer_reads_and_writes_json_and_csv():
+    """Every json/csv call in src/dpae goes through dpae.data; the user's
+    config file, which is not an artifact, is the one exception."""
+    allowed = {("config.py", "load_config_file", "json.load")}
+
+    def calls(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from calls(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) \
+                    and child.module in ("json", "csv"):
+                yield owner, f"from {child.module} import"
+            if isinstance(child, ast.Call) \
+                    and isinstance(child.func, ast.Attribute) \
+                    and isinstance(child.func.value, ast.Name) \
+                    and child.func.value.id in ("json", "csv"):
+                yield owner, f"{child.func.value.id}.{child.func.attr}"
+            yield from calls(child, owner)
+
+    found = set()
+    for path in sorted(Path(D.__file__).parent.glob("*.py")):
+        if path.name != "data.py":
+            found |= {(path.name, *call) for call in
+                      calls(ast.parse(path.read_text()), None)}
+    assert found - allowed == set()
 
 
 def test_perturb_patches_matches_hand_composition():

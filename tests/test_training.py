@@ -239,6 +239,16 @@ class TestCheckpoint:
         assert lines[1] == "epoch,sample,curriculum,snr,pad,loss"
         assert len(lines) == 2 + len(hist)
 
+    def test_loss_history_writes_an_integer_snr_as_float(self, tmp_path):
+        # A config file may give the curriculum integer SNRs; the stamp keeps
+        # them as given, the rows write them as floats.
+        cfg = TR.TrainConfig(epochs=1, curriculum=[[20, 0.4]])
+        TR.write_loss_history(tmp_path / "h.csv", [(0, 3, 0, 20, 0.4, 0.5)],
+                              cfg)
+        lines = (tmp_path / "h.csv").read_text().splitlines()
+        assert lines[0].startswith('# config={"curriculum": [[20, 0.4]], ')
+        assert lines[2] == "0,3,0,20.0,0.4,0.5"
+
     def test_corrupt_payload_detected(self, tmp_path):
         model = DPAE(TINY, seed=25)
         TR.save_checkpoint(model, tmp_path / "ck")
