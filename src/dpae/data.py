@@ -17,6 +17,7 @@ The artifact layer (``write_json``, ``read_json``, ``write_csv`` and
 import csv
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -373,9 +374,22 @@ def mask_patches(xp, ratio_pad, rng):
     return out, mask
 
 
+@contextmanager
+def atomic_write(path, mode="w", **kwargs):
+    """Write a sibling temporary file, then rename it over `path`; on error remove it."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_json(path, doc):
     """Indented JSON; ndarrays are written as lists."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, default=np.ndarray.tolist)
 
 
@@ -391,7 +405,7 @@ def read_json(path):
 def write_csv(path, header, rows, config=None):
     """CSV whose float cells are exact reprs, so they round-trip bit for bit;
     a `config` stamps a first ``# config=`` line with its sorted-key JSON."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         if config is not None:
             fh.write("# config=" + json.dumps(config, sort_keys=True) + "\n")
         w = csv.writer(fh)

@@ -354,7 +354,8 @@ def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
 
     Gate order along the fused width-4H axis is (input, forget, cell, output).
     Returns an (n + 1) x H tensor: the n hidden states, then the final cell
-    state. The backward pass runs each step's gradient in reverse time.
+    state. The backward pass runs the recurrence in reverse time, then forms
+    the weight, bias and input gradients as GEMMs over every step's dpre row.
     """
     if xs.data.ndim != 2 or xs.data.shape[0] < 1:
         raise ShapeError(f"lstm expects a nonempty matrix, got shape {xs.data.shape}")
@@ -369,42 +370,38 @@ def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     steps, rows = [], []
     for t in range(n):
         pre = xs.data[t:t + 1] @ w_ih.data + h @ w_hh.data + bias.data
-        i = 1.0 / (1.0 + np.exp(-pre[:, :hidden]))
-        f = 1.0 / (1.0 + np.exp(-pre[:, hidden:2 * hidden]))
+        gates = 1.0 / (1.0 + np.exp(-pre))
+        i, f = gates[:, :hidden], gates[:, hidden:2 * hidden]
+        o = gates[:, 3 * hidden:]
         g_ = np.tanh(pre[:, 2 * hidden:3 * hidden])
-        o = 1.0 / (1.0 + np.exp(-pre[:, 3 * hidden:]))
-        h_prev, c_prev = h, c
-        c = f * c_prev + i * g_
+        c_prev, c = c, f * c + i * g_
         tc = np.tanh(c)
         h = o * tc
-        steps.append((h_prev, c_prev, i, f, g_, o, tc))
+        steps.append((c_prev, i, f, g_, o, tc))
         rows.append(h)
-    out = Tensor(np.concatenate(rows + [c], axis=0), parents=(xs, w_ih, w_hh, bias))
+    data = np.concatenate(rows + [c], axis=0)
+    out = Tensor(data, parents=(xs, w_ih, w_hh, bias))
 
+    # Closing over `data`, not `out`, keeps the node free of a reference cycle.
     def backward(grad):
-        dxs = np.empty_like(xs.data)
+        dpre = np.empty((n, 4 * hidden))
         dh = np.zeros((1, hidden))
         dc = grad[n:n + 1]
         for t in reversed(range(n)):
-            h_prev, c_prev, i, f, g_, o, tc = steps[t]
+            c_prev, i, f, g_, o, tc = steps[t]
             gh = grad[t:t + 1] + dh
             gc = dc + gh * o * (1.0 - tc * tc)
-            dpre = np.concatenate(
-                [
-                    gc * g_ * i * (1.0 - i),
-                    gc * c_prev * f * (1.0 - f),
-                    gc * i * (1.0 - g_ * g_),
-                    gh * tc * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            dxs[t] = dpre @ w_ih.data.T
-            dh = dpre @ w_hh.data.T
+            row = dpre[t:t + 1]
+            row[:, :hidden] = gc * g_ * i * (1.0 - i)
+            row[:, hidden:2 * hidden] = gc * c_prev * f * (1.0 - f)
+            row[:, 2 * hidden:3 * hidden] = gc * i * (1.0 - g_ * g_)
+            row[:, 3 * hidden:] = gh * tc * o * (1.0 - o)
+            dh = row @ w_hh.data.T
             dc = gc * f
-            _accum(w_ih, xs.data[t:t + 1].T @ dpre)
-            _accum(w_hh, h_prev.T @ dpre)
-            _accum(bias, dpre)
-        _accum(xs, dxs)
+        _accum(w_ih, xs.data.T @ dpre)
+        _accum(w_hh, data[:n - 1].T @ dpre[1:])  # h_0 = 0 adds nothing
+        _accum(bias, dpre.sum(axis=0, keepdims=True))
+        _accum(xs, dpre @ w_ih.data.T)
 
     out._backward_fn = backward
     return out

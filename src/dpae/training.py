@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import read_json, write_csv, write_json
+from .data import atomic_write, read_json, write_csv, write_json
 from .model import DPAE, ModelProfile
 
 DEFAULT_CURRICULUM = (
@@ -26,6 +26,8 @@ DEFAULT_CURRICULUM = (
 
 # Nesterov-Adam moment decays, denominator guard and momentum-schedule decay.
 BETA1, BETA2, EPS, MOMENTUM_DECAY = 0.9, 0.999, 1e-8, 4e-3
+# Elements per NAdam block; its six 256 KiB slices stay in cache across an update.
+NADAM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -46,13 +48,14 @@ class TrainConfig:
 
 
 class NAdamState:
-    """First/second moments per parameter plus the momentum-schedule product."""
+    """Moments per parameter, the momentum-schedule product, two work arrays."""
 
     def __init__(self, params):
         self.t = 0
         self.mu_product = 1.0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.work = np.empty((2, NADAM_BLOCK))
 
 
 def mse_loss(x_clean, x_re):
@@ -63,7 +66,7 @@ def mse_loss(x_clean, x_re):
 
 
 def nadam_step(params, grads, state, lr):
-    """One Nesterov-Adam update over all parameters.
+    """One Nesterov-Adam update over all parameters, in place.
 
     mu_t follows the warming schedule
     BETA1 * (1 - 0.5 * 0.96^(t * MOMENTUM_DECAY)); the first-moment estimate
@@ -80,18 +83,24 @@ def nadam_step(params, grads, state, lr):
     state.mu_product *= mu_t
     product_next = state.mu_product * mu_next
 
+    # Per block, in the operation order of m_hat = mu_next * m / (1 - product_next)
+    # + (1 - mu_t) * g / (1 - mu_product); p -= lr * m_hat / (sqrt(v_hat) + EPS).
     for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = (mu_next * m / (1.0 - product_next)
-                 + (1.0 - mu_t) * g / (1.0 - state.mu_product))
-        v_hat = v / (1.0 - BETA2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+        flat = [x.reshape(-1, copy=False)
+                for x in (p.data, grads[name], state.m[name], state.v[name])]
+        for lo in range(0, p.data.size, NADAM_BLOCK):
+            pb, g, m, v = (x[lo:lo + NADAM_BLOCK] for x in flat)
+            a, b = state.work[:, :g.size]
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, g, out=a)
+            v *= BETA2
+            v += np.multiply(np.multiply(1.0 - BETA2, g, out=a), g, out=a)
+            np.divide(np.multiply(mu_next, m, out=a), 1.0 - product_next, out=a)
+            a += np.divide(np.multiply(1.0 - mu_t, g, out=b),
+                           1.0 - state.mu_product, out=b)
+            a *= lr
+            np.add(np.sqrt(np.divide(v, 1.0 - BETA2 ** t, out=b), out=b), EPS, out=b)
+            pb -= np.divide(a, b, out=a)
     state.t = t
 
 
@@ -181,7 +190,7 @@ def save_params(params, dir_path, meta):
         offset += arr.size
         chunks.append(arr.reshape(-1))
     payload = np.concatenate(chunks).astype("<f8")
-    with open(os.path.join(dir_path, "params.bin"), "wb") as fh:
+    with atomic_write(os.path.join(dir_path, "params.bin"), "wb") as fh:
         fh.write(payload.tobytes())
     write_json(os.path.join(dir_path, "manifest.json"),
                {"meta": meta, "parameters": entries, "total_size": offset})

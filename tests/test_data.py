@@ -317,6 +317,28 @@ class TestArtifactLayer:
         assert doc == {"a": arr.tolist(), "n": 3}
         assert np.array(doc["a"]).tobytes() == arr.tobytes()
 
+    def test_failed_json_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        D.write_json(path, {"n": 3})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            D.write_json(path, {"n": 4, "bad": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+    def test_failed_csv_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        D.write_csv(path, self.HEADER, self.ROWS, config={"a": 1})
+        before = path.read_bytes()
+
+        def rows():
+            yield self.ROWS[1]
+            raise RuntimeError("row source failed")
+        with pytest.raises(RuntimeError, match="row source failed"):
+            D.write_csv(path, self.HEADER, rows(), config={"a": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
     def test_unparsable_json_is_io_error(self, tmp_path):
         path = tmp_path / "cut.json"
         path.write_text('{"a": [1, 2')

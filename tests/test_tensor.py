@@ -279,10 +279,14 @@ class TestLstm:
         assert err <= 1e-6
 
     def test_matches_unrolled_cells_bit_for_bit(self):
-        # Recorded from the per-step path this op replaced: one fused cell
-        # per row returning [h; c], split with slice_rows, the hidden states
-        # and the final cell state concatenated. Loss sum(out ** 2), taken as
-        # 10 * mean so that every entry's seed gradient is exactly 1.0.
+        # `recorded` is from the per-step path this op replaced: one fused
+        # cell per row returning [h; c], split with slice_rows, the hidden
+        # states and the final cell state concatenated. Loss sum(out ** 2),
+        # taken as 10 * mean so that every entry's seed gradient is exactly 1.0.
+        # The forward still matches it bit for bit. The backward forms the
+        # weight, bias and input gradients as GEMMs after the time loop, which
+        # reorders their sums: `hoisted` records those bits, and the per-step
+        # records hold within 1e-12 relative (2.1e-15 measured, on xs).
         rng = np.random.default_rng(41)
         xs = T.Parameter(rng.uniform(-1.0, 1.0, (4, 3)), "xs")
         w_ih = T.Parameter(rng.uniform(-0.5, 0.5, (3, 8)), "w_ih")
@@ -329,10 +333,45 @@ class TestLstm:
                  "0x1.95c9579d8722ep-7", "0x1.4e5f742f08552p-5"),
             ),
         }
+        hoisted = {
+            "xs": hex_rows(
+                ("0x1.1bc6c339be4d7p-6", "0x1.ddf12ead476aap-7", "-0x1.1ea40bd6dda2dp-5"),
+                ("0x1.4d8577d9fcf05p-7", "0x1.4edd6fe2c47f1p-8", "-0x1.3136ab7745881p-5"),
+                ("-0x1.11f45d1abe514p-5", "-0x1.0763769babeabp-5", "-0x1.3c42caa66c5ebp-5"),
+                ("-0x1.7de3c735040f5p-5", "-0x1.e17aa76fe0d9cp-6", "-0x1.760bb8a61ae96p-9"),
+            ),
+            "w_ih": hex_rows(
+                ("-0x1.f92cb12bc7f78p-11", "0x1.01b65e5f89d56p-5", "0x1.088fe96e42e44p-9",
+                 "0x1.03f99549cb96bp-8", "-0x1.22fa35307534dp-5", "-0x1.398541a590772p-4",
+                 "0x1.7e76c122ac8d4p-11", "0x1.982283f942288p-6"),
+                ("0x1.8bc4a263e79a1p-10", "0x1.9b5a1f447d975p-6", "0x1.e09bf88294402p-9",
+                 "0x1.cc84eb8cb89b3p-9", "-0x1.11bf87fd5225fp-4", "-0x1.b24df8e53b944p-5",
+                 "0x1.83d2dcd983731p-9", "0x1.721e54930d627p-6"),
+                ("-0x1.1f6b39515c388p-7", "-0x1.bd004f8e297b3p-7", "0x1.ad6ccb4a5d0ecp-8",
+                 "-0x1.9c39ad58824dbp-8", "-0x1.1d6d56d2fb3afp-6", "0x1.53f8df612b7dep-4",
+                 "-0x1.9102fc56406edp-9", "-0x1.1f27252088b5cp-6"),
+            ),
+            "w_hh": hex_rows(
+                ("0x1.8c4559dffe135p-11", "-0x1.2ce4d9592284bp-10", "-0x1.efc8192a10e15p-11",
+                 "0x1.27324238134a8p-11", "0x1.a424294afb2b4p-8", "-0x1.ed56657a7ff6cp-9",
+                 "0x1.7b036ed5ee32bp-14", "0x1.bff64df29148cp-14"),
+                ("-0x1.116d4d259ddf6p-9", "-0x1.eeb061907cd88p-10", "-0x1.0380b9dcaaf6fp-11",
+                 "-0x1.53b0749ac7705p-11", "0x1.36575e6c54c11p-6", "0x1.197bb1c176979p-8",
+                 "-0x1.9dcfc6a13944fp-10", "-0x1.a10bc19f1d856p-9"),
+            ),
+            "bias": hex_rows(
+                ("0x1.ca280f4db9598p-7", "0x1.717e4754f7550p-5", "0x1.d79014b9363bbp-8",
+                 "0x1.243d4bff1c400p-8", "-0x1.6ddf1007d425ep-3", "-0x1.5966a41f94145p-4",
+                 "0x1.95c9579d8722ep-7", "0x1.4e5f742f08552p-5"),
+            ),
+        }
         got = {"out": out.data, "xs": xs.grad, "w_ih": w_ih.grad,
                "w_hh": w_hh.grad, "bias": b.grad}
-        for name, want in recorded.items():
+        assert got["out"].tobytes() == recorded["out"].tobytes()
+        for name, want in hoisted.items():
             assert got[name].tobytes() == want.tobytes(), name
+            np.testing.assert_allclose(got[name], recorded[name], rtol=1e-12,
+                                       atol=0.0, err_msg=name)
 
 
 class TestCrossEntropy:
