@@ -56,6 +56,12 @@ class HeadConfig:
             raise ValueError(f"unknown head kind {self.kind!r}")
         if self.tree_count < 1:
             raise ValueError("tree_count must be at least 1")
+        if self.max_depth < 0:
+            raise ValueError("max_depth must not be negative")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1")
+        if not (0.0 < self.lr < float("inf")):
+            raise ValueError("lr must be positive and finite")
         if self.early_stop_window < 1:
             raise ValueError("early_stop_window must be at least 1")
         if not (self.early_stop_threshold > 0.0):
@@ -245,38 +251,38 @@ def fit_end_to_end(samples, labels, config=None, task="classify"):
 # random forest
 
 def _best_split(X, y, feats, task):
-    """Lowest weighted child impurity over midpoint thresholds; None if flat."""
+    """Lowest weighted child impurity over midpoint thresholds; None if flat.
+
+    Drawn features are the rows of one sorted block (a row sum adds in 1-D
+    order); ties go to the first feature in draw order, then position."""
     n = y.size
-    best = None
-    for f in feats:
-        order = np.argsort(X[:, f], kind="stable")
-        vs = X[order, f]
-        ys = y[order]
-        valid = np.nonzero(vs[1:] > vs[:-1])[0] + 1
-        if valid.size == 0:
-            continue
-        k = valid.astype(float)
-        if task == "classify":
-            ones = np.cumsum(ys)[valid - 1].astype(float)
-            tot_ones = float(ys.sum())
-            p1l = ones / k
-            p1r = (tot_ones - ones) / (n - k)
-            gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
-            gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
-            score = (k * gini_l + (n - k) * gini_r) / n
-        else:
-            s = np.cumsum(ys)[valid - 1]
-            sq = np.cumsum(ys * ys)[valid - 1]
-            tot_s, tot_sq = float(ys.sum()), float((ys * ys).sum())
-            var_l = sq / k - (s / k) ** 2
-            var_r = (tot_sq - sq) / (n - k) - ((tot_s - s) / (n - k)) ** 2
-            score = (k * var_l + (n - k) * var_r) / n
-        j = int(np.argmin(score))
-        if best is None or score[j] < best[0]:
-            pos = valid[j]
-            threshold = 0.5 * (vs[pos - 1] + vs[pos])
-            best = (float(score[j]), int(f), float(threshold))
-    return best
+    cols = X[:, feats].T
+    order = np.argsort(cols, axis=1, kind="stable")
+    vs = np.take_along_axis(cols, order, axis=1)
+    ys = y[order]
+    k = np.arange(1.0, n)
+    if task == "classify":
+        ones = np.cumsum(ys, axis=1)[:, :-1].astype(float)
+        tot_ones = ys.sum(axis=1, keepdims=True).astype(float)
+        p1l = ones / k
+        p1r = (tot_ones - ones) / (n - k)
+        gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
+        gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
+        score = (k * gini_l + (n - k) * gini_r) / n
+    else:
+        s = np.cumsum(ys, axis=1)[:, :-1]
+        sq = np.cumsum(ys * ys, axis=1)[:, :-1]
+        tot_s = ys.sum(axis=1, keepdims=True)
+        tot_sq = (ys * ys).sum(axis=1, keepdims=True)
+        var_l = sq / k - (s / k) ** 2
+        var_r = (tot_sq - sq) / (n - k) - ((tot_s - s) / (n - k)) ** 2
+        score = (k * var_l + (n - k) * var_r) / n
+    score = np.where(vs[:, 1:] > vs[:, :-1], score, np.inf)
+    i, pos = np.unravel_index(np.argmin(score), score.shape)
+    if score[i, pos] == np.inf:
+        return None
+    return (float(score[i, pos]), int(feats[i]),
+            float(0.5 * (vs[i, pos] + vs[i, pos + 1])))
 
 
 def _grow(table, X, y, task, depth, config, m_try, rng):
@@ -346,16 +352,19 @@ def predict(head, x):
         vals = out.data.reshape(-1)
         return float(vals[0]) if single else vals
 
-    # Every (row, tree) pair descends one level per pass; leaves are fixed points.
-    rows = np.arange(X.shape[0])[:, None]
+    # Each (row, tree) pair descends one level per pass until none moves; the
+    # next node is slot 2 * node + (x <= threshold) of the (right, left) table.
+    offset = np.arange(len(X))[:, None] * X.shape[1]
+    child, flat = np.stack([head.right, head.left], 1).ravel(), X.ravel()
     node, below = None, np.broadcast_to(head.roots, (len(X), head.roots.size))
     while not np.array_equal(node, below):
         node = below
-        below = np.where(X[rows, head.feature[node]] <= head.threshold[node],
-                         head.left[node], head.right[node])
+        below = child[2 * node + (flat[offset + head.feature[node]]
+                                  <= head.threshold[node])]
     if head.task == "classify":
-        votes = np.eye(len(CLASS_ORDER))[np.argmax(head.value[node], axis=2)]
-        probs = votes.mean(axis=1)
+        # Like argmax, a leaf whose frequencies tie votes for the first class.
+        hot = np.sum((head.value[:, 1] > head.value[:, 0])[node], axis=1)
+        probs = np.stack([node.shape[1] - hot, hot], 1) / node.shape[1]
         return probs[0] if single else probs
     # A contiguous (rows, trees) mean sums each row in tree order.
     vals = head.value[node].mean(axis=1)

@@ -255,6 +255,20 @@ class TestTrainHeads:
                        "--out", str(tmp_path / "h"), "--head", "mlp",
                        "--seed", SEED) == 1
 
+    @pytest.mark.parametrize("head, section", [
+        ("mlp", {"max_epochs": 0}), ("forest", {"max_depth": -3}),
+        ("mlp", {"lr": -0.01})], ids=["max_epochs", "max_depth", "lr"])
+    def test_head_values_that_break_a_fit_are_usage_errors(
+            self, ws, tmp_path, capsys, head, section):
+        cfg_path = tmp_path / "heads.json"
+        cfg_path.write_text(json.dumps({"heads": section}))
+        assert run_cli("train-heads", "--config", str(cfg_path), "--latents",
+                       os.path.join(ws.lat, "latents.csv"), "--data", ws.data,
+                       "--out", str(tmp_path / "h"), "--head", head,
+                       "--seed", SEED) == 1
+        assert f"usage error: {next(iter(section))}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "h" / f"{head}_cla")
+
 
 @pytest.fixture(scope="module")
 def metrics(ws):

@@ -38,6 +38,18 @@ class TestLabelAndConfig:
         with pytest.raises(ValueError):
             H.HeadConfig(tree_count=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"max_epochs": 0}, {"max_epochs": -1}, {"max_depth": -1},
+        {"max_depth": -3}, {"lr": 0.0}, {"lr": -0.01}, {"lr": float("nan")},
+        {"lr": float("inf")}], ids=repr)
+    def test_values_that_would_break_a_fit_rejected(self, bad):
+        with pytest.raises(ValueError):
+            H.HeadConfig(**bad)
+
+    def test_smallest_valid_values_accepted(self):
+        cfg = H.HeadConfig(max_epochs=1, max_depth=0, lr=1e-300)
+        assert (cfg.max_epochs, cfg.max_depth, cfg.lr) == (1, 0, 1e-300)
+
 
 class TestEarlyStop:
     def test_flat_curve_stops_after_window(self):
@@ -381,3 +393,173 @@ class TestPersistence:
         (d / "forest.json").write_text(json.dumps({"kind": "other"}))
         with pytest.raises(IOError):
             H.load_head(d)
+
+
+def per_feature_best_split(X, y, feats, task):
+    """The split search the sorted block replaced: one feature at a time.
+
+    Kept as the oracle the block must match exactly, ties included.
+    """
+    n = y.size
+    best = None
+    for f in feats:
+        order = np.argsort(X[:, f], kind="stable")
+        vs = X[order, f]
+        ys = y[order]
+        valid = np.nonzero(vs[1:] > vs[:-1])[0] + 1
+        if valid.size == 0:
+            continue
+        k = valid.astype(float)
+        if task == "classify":
+            ones = np.cumsum(ys)[valid - 1].astype(float)
+            tot_ones = float(ys.sum())
+            p1l = ones / k
+            p1r = (tot_ones - ones) / (n - k)
+            gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
+            gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
+            score = (k * gini_l + (n - k) * gini_r) / n
+        else:
+            s = np.cumsum(ys)[valid - 1]
+            sq = np.cumsum(ys * ys)[valid - 1]
+            tot_s, tot_sq = float(ys.sum()), float((ys * ys).sum())
+            var_l = sq / k - (s / k) ** 2
+            var_r = (tot_sq - sq) / (n - k) - ((tot_s - s) / (n - k)) ** 2
+            score = (k * var_l + (n - k) * var_r) / n
+        j = int(np.argmin(score))
+        if best is None or score[j] < best[0]:
+            pos = valid[j]
+            threshold = 0.5 * (vs[pos - 1] + vs[pos])
+            best = (float(score[j]), int(f), float(threshold))
+    return best
+
+
+def split_targets(rng, n, task):
+    if task == "classify":
+        return rng.integers(0, 2, size=n)
+    return np.round(rng.uniform(0.5, 60.0, size=n), 2)
+
+
+class TestBestSplit:
+    @pytest.mark.parametrize("task", ["classify", "regress"])
+    @pytest.mark.parametrize("decimals", [0, 1])
+    def test_matches_per_feature_search_exactly(self, task, decimals):
+        rng = np.random.default_rng(31 + decimals)
+        for _ in range(300):
+            n, d = int(rng.integers(2, 71)), int(rng.integers(1, 13))
+            # Rounding makes equal values, so ties in value and in score occur.
+            X = np.round(rng.normal(scale=2.0, size=(n, d)), decimals)
+            y = split_targets(rng, n, task)
+            feats = rng.choice(d, size=int(rng.integers(1, d + 1)),
+                               replace=False)
+            assert H._best_split(X, y, feats, task) == \
+                per_feature_best_split(X, y, feats, task)
+
+    @pytest.mark.parametrize("task", ["classify", "regress"])
+    def test_identical_columns_go_to_the_first_drawn(self, task):
+        rng = np.random.default_rng(37)
+        X = np.round(rng.normal(size=(40, 5)), 1)
+        X[:, 3] = X[:, 1]  # the column that separates the targets, twice
+        y = (X[:, 1] > 0).astype(int)
+        if task == "regress":
+            y = 10.0 + 5.0 * y + split_targets(rng, 40, task) / 100.0
+        for feats, first in (([3, 1], 3), ([1, 3], 1), ([0, 3, 2, 1], 3)):
+            split = H._best_split(X, y, np.array(feats), task)
+            assert split == per_feature_best_split(X, y, np.array(feats), task)
+            assert split[1] == first
+
+    @pytest.mark.parametrize("task", ["classify", "regress"])
+    def test_constant_drawn_columns_give_none(self, task):
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(30, 4))
+        X[:, [0, 2]] = 1.5
+        y = split_targets(rng, 30, task)
+        assert H._best_split(X, y, np.array([2, 0]), task) is None
+        assert per_feature_best_split(X, y, np.array([2, 0]), task) is None
+        assert H._best_split(X, y, np.array([2, 1]), task)[1] == 1
+
+
+def pinned_forest(task):
+    """The 160 x 12 forest of `test_predictions_pinned_bitwise`."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(160, 12))
+    labels = [H.DiagnosisLabel(
+        Location.HOT_LEG if x[0] + x[1] * x[2] > 0 else Location.COLD_LEG,
+        1.0 + abs(x[3] + 0.5 * x[4])) for x in X]
+    return H.fit_random_forest(
+        list(X), labels, H.HeadConfig(kind="random_forest", tree_count=20,
+                                      seed=5), task=task)[0]
+
+
+def leaf_values(forest, probe):
+    """Each (row, tree) leaf value, found one row and one tree at a time."""
+    out = []
+    for x in probe:
+        row = []
+        for node in forest.roots:
+            while forest.left[node] != node:  # a leaf is its own child
+                node = forest.left[node] \
+                    if x[forest.feature[node]] <= forest.threshold[node] \
+                    else forest.right[node]
+            row.append(forest.value[node])
+        out.append(row)
+    return np.array(out)
+
+
+class TestForestTable:
+    # Recorded from the per-feature split search: sha256 over the bytes of
+    # feature, threshold, left, right, value and roots, in that order.
+    @pytest.mark.parametrize("task, digest", [
+        ("classify",
+         "d72c580fb55618b102df7049a7f031e556650b18e03f3344d6f8c67f647daa34"),
+        ("regress",
+         "3916d8c2eb4306ceef3566246e5396f2ef0018a0a8d0e9369b77871d05f11a3c"),
+    ], ids=["classify", "regress"])
+    def test_node_table_pinned(self, task, digest):
+        forest = pinned_forest(task)
+        h = hashlib.sha256()
+        for name in ("feature", "threshold", "left", "right", "value", "roots"):
+            h.update(getattr(forest, name).tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("task", ["classify", "regress"])
+    def test_depth_zero_forest_is_all_roots(self, task):
+        latents, labels = blob_toy(seed=43)
+        labels = [H.DiagnosisLabel(lb.location, 1.0 + i)
+                  for i, lb in enumerate(labels)]
+        forest, _ = H.fit_random_forest(
+            latents, labels, H.HeadConfig(kind="random_forest", tree_count=7,
+                                          max_depth=0), task=task)
+        np.testing.assert_array_equal(forest.roots, np.arange(7))
+        np.testing.assert_array_equal(forest.left, forest.roots)
+        np.testing.assert_array_equal(forest.right, forest.roots)
+        probe = np.stack(latents)
+        got = H.predict(forest, probe)
+        if task == "classify":
+            hot = np.sum(np.argmax(forest.value, axis=1) == 1)
+            want = np.tile([(7 - hot) / 7, hot / 7], (len(probe), 1))
+        else:
+            want = np.full(len(probe), forest.value.mean())
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("task", ["classify", "regress"])
+    def test_matrix_probe_matches_per_tree_enumeration(self, task):
+        forest = pinned_forest(task)
+        probe = np.random.default_rng(47).normal(size=(50, 12))
+        # Row i sits exactly on the threshold of tree i's root, so it must go
+        # left there.
+        roots = forest.roots[np.arange(50) % forest.roots.size]
+        probe[np.arange(50), forest.feature[roots]] = forest.threshold[roots]
+        leaves = leaf_values(forest, probe)
+        if task == "classify":
+            want = np.eye(2)[np.argmax(leaves, axis=2)].mean(axis=1)
+        else:
+            want = leaves.mean(axis=1)
+        np.testing.assert_array_equal(H.predict(forest, probe), want)
+
+    def test_single_row_return_types(self):
+        probe = np.random.default_rng(53).normal(size=12)
+        probs = H.predict(pinned_forest("classify"), probe)
+        assert isinstance(probs, np.ndarray) and probs.shape == (2,)
+        size = H.predict(pinned_forest("regress"), probe)
+        assert type(size) is float
+        assert size == H.predict(pinned_forest("regress"), probe[None])[0]
