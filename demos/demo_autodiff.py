@@ -38,16 +38,13 @@ def scalar_chain(seed):
 
 
 def attention_style_block(seed):
-    print("== gradients through a softmax attention pattern ==")
+    print("== two-head softmax attention, one tape node ==")
     rng = np.random.default_rng(seed)
-    q = T.Parameter(rng.normal(size=(4, 6)), "q")
-    k = T.Parameter(rng.normal(size=(4, 6)), "k")
-    v = T.Parameter(rng.normal(size=(4, 6)), "v")
-    params = {"q": q, "k": k, "v": v}
+    # Head h reads q, k and v from columns [9 h, 9 h + 9), three of each.
+    params = {"qkv": T.Parameter(rng.normal(size=(4, 18)), "qkv")}
 
     def f():
-        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(6.0))
-        return T.mean_all(T.square(T.matmul(T.softmax_rows(scores), v)))
+        return T.mean_all(T.square(T.attention(params["qkv"], 2)))
 
     err = T.grad_check(f, params, eps=1e-5)
     print(f"   max relative error vs finite differences: {err:.3e}\n")

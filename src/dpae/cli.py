@@ -483,6 +483,7 @@ def _gradcheck_ops(seed):
         "logits": rng.normal(size=(4, 3)),
     })
     onehot = np.eye(3)[rng.integers(0, 3, size=4)]
+    P["qkv"] = T.Parameter(rng.normal(size=(5, 12)), "qkv")  # 2 heads of width 2
 
     def check(name, op, *names):
         probed = {n: P[n] for n in names}
@@ -495,6 +496,7 @@ def _gradcheck_ops(seed):
         check("softmax", T.softmax_rows, "s"),
         check("layer_norm", T.layer_norm, "xn", "gn", "bn"),
         check("lstm", T.lstm, "xl", "wih", "whh", "bl"),
+        check("attention", lambda qkv: T.attention(qkv, 2), "qkv"),
         ("cross_entropy", lambda: T.cross_entropy_logits(P["logits"], onehot),
          {"logits": P["logits"]}),
     ]

@@ -85,17 +85,8 @@ def preprocess(xp_masked, params):
 
 def msa(x, params, prefix, profile):
     """Multi-headed self-attention over the rows of x."""
-    dh = profile.head_dim
     qkv = T.matmul(x, params[f"{prefix}.qkv"])
-    heads_out = []
-    for h in range(profile.heads):
-        base = 3 * dh * h
-        q = T.slice_cols(qkv, base, base + dh)
-        k = T.slice_cols(qkv, base + dh, base + 2 * dh)
-        v = T.slice_cols(qkv, base + 2 * dh, base + 3 * dh)
-        logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(dh))
-        heads_out.append(T.matmul(T.softmax_rows(logits), v))
-    return T.matmul(T.concat_cols(heads_out), params[f"{prefix}.proj"])
+    return T.matmul(T.attention(qkv, profile.heads), params[f"{prefix}.proj"])
 
 
 def transformer_block(x, params, prefix, profile, train_mode=False, rng=None):

@@ -151,18 +151,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, factor: float) -> Tensor:
-    """Multiply by a python float constant (not a tape node)."""
-    factor = float(factor)
-    out = Tensor(a.data * factor, parents=(a,))
-
-    def backward(g):
-        _accum(a, g * factor)
-
-    out._backward_fn = backward
-    return out
-
-
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x), with the erf formulation."""
     x = a.data
@@ -235,20 +223,6 @@ def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
     return out
 
 
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    if a.data.ndim != 2 or not (0 <= j0 < j1 <= a.data.shape[1]):
-        raise ShapeError(f"slice_cols [{j0}:{j1}] invalid for shape {a.data.shape}")
-    out = Tensor(a.data[:, j0:j1], parents=(a,))
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, j0:j1] = g
-        _accum(a, full)
-
-    out._backward_fn = backward
-    return out
-
-
 def concat_rows(parts) -> Tensor:
     parts = tuple(parts)
     cols = parts[0].data.shape[1]
@@ -266,37 +240,60 @@ def concat_rows(parts) -> Tensor:
     return out
 
 
-def concat_cols(parts) -> Tensor:
-    parts = tuple(parts)
-    rows = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != rows:
-            raise ShapeError(f"concat_cols row mismatch: {[q.data.shape for q in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), parents=parts)
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
+def _softmax(x):
+    """Softmax along the last axis, stabilized by subtracting the maximum."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y, g):
+    """The input gradient of y = _softmax(x): y_ij * (g_ij - sum_k g_ik y_ik)."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Row-wise softmax."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"softmax_rows expects a matrix, got shape {a.data.shape}")
+    y = _softmax(a.data)
+    out = Tensor(y, parents=(a,))
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[:, lo:hi])
+        _accum(a, _softmax_grad(y, g))
 
     out._backward_fn = backward
     return out
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by subtracting the per-row maximum."""
-    x = a.data
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got shape {x.shape}")
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y, parents=(a,))
+def attention(qkv: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention over the rows, as one tape node.
 
-    def backward(g):
-        # dx_ij = y_ij * (g_ij - sum_k g_ik y_ik)
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(a, y * (g - dot))
+    Head h reads q, k and v, in that order, from columns [3 dh h, 3 dh (h + 1))
+    of the n x (3 heads dh) input; the heads are the batch axis of np.matmul
+    on (heads, n, dh) stacks. Returns the n x (heads dh) concatenation of the
+    head outputs. Every product keeps the operand layouts of per-head 2-D
+    matmuls over a contiguous k^T, so the bits equal that composition's.
+    """
+    x = qkv.data
+    if x.ndim != 2 or heads < 1 or x.shape[1] % (3 * heads):
+        raise ShapeError(f"attention with {heads} heads needs an n x (3 heads dh) "
+                         f"matrix, got shape {x.shape}")
+    n, dh = x.shape[0], x.shape[1] // (3 * heads)
+    factor = 1.0 / math.sqrt(dh)
+    q, k, v = x.reshape(n, heads, 3, dh).transpose(2, 1, 0, 3)
+    kt = np.ascontiguousarray(k.mT)
+    y = _softmax(q @ kt * factor)
+    out = Tensor((y @ v).transpose(1, 0, 2).reshape(n, heads * dh), parents=(qkv,))
+
+    def backward(grad):
+        g = grad.reshape(n, heads, dh).transpose(1, 0, 2)
+        dl = _softmax_grad(y, g @ v.mT) * factor
+        dqkv = np.empty((n, heads, 3, dh))
+        dq, dk, dv = dqkv.transpose(2, 1, 0, 3)
+        dq[...] = dl @ kt.mT
+        dk[...] = (q.mT @ dl).mT
+        dv[...] = y.mT @ g
+        _accum(qkv, dqkv.reshape(n, 3 * heads * dh))
 
     out._backward_fn = backward
     return out
