@@ -68,8 +68,18 @@ class _OutDir:
         try:
             self.fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
+            try:  # the lock holds its writer's pid; it is never removed here
+                with open(self.lock) as f:
+                    pid = int(f.read())
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                raise OSError(f"output directory has a stale lock: process "
+                              f"{pid} is not running: {self.lock}") from None
+            except (OSError, ValueError, OverflowError):
+                pass  # unreadable, or held by a process we may not signal
             raise OSError(
                 f"output directory is locked by another command: {self.lock}")
+        os.write(self.fd, str(os.getpid()).encode())
         return self.path
 
     def __exit__(self, *exc):

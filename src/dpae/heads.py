@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,13 @@ class Forest:
     right: np.ndarray
     value: np.ndarray
     roots: np.ndarray
+
+    @cached_property
+    def _walk(self):
+        """`predict`'s flat (right, left) child table and each node's vote for
+        the second class, built once per forest; not fields, so never saved."""
+        votes = self.task == "classify" and self.value[:, 1] > self.value[:, 0]
+        return np.stack([self.right, self.left], 1).ravel(), votes
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +230,8 @@ def _fit_network(X, labels, task, widths, config):
         if early_stop_epoch(report.val_curve, config.early_stop_window,
                             config.early_stop_threshold) is not None:
             break
+    for p in params.values():  # predictions need no gradient buffers
+        p.grad = None
 
     head = MlpHead(task=task, widths=tuple(widths), params=params)
     report.final_metrics = _fit_metrics(head, X, y, train=train_idx,
@@ -250,63 +260,68 @@ def fit_end_to_end(samples, labels, config=None, task="classify"):
 # ---------------------------------------------------------------------------
 # random forest
 
-def _best_split(X, y, feats, task):
-    """Lowest weighted child impurity over midpoint thresholds; None if flat.
+def _totals(a, sizes):
+    """Sums over the last axis of the zero-padded `a` as a 1-D `sum` adds node
+    j's `sizes[j]` terms. Below 128 terms numpy sums whole blocks of 8 in 8
+    lanes, then the rest in order, so rows of one `size // 8` sum together."""
+    group = np.where(sizes < 128, sizes // 8, sizes)  # from 128, equal sizes
+    tot = np.empty(a.shape[:-1])
+    for g in np.unique(group):
+        at = group == g
+        tot[at] = a[at, ..., :sizes[at].max()].sum(axis=-1)
+    return tot
 
-    Drawn features are the rows of one sorted block (a row sum adds in 1-D
-    order); ties go to the first feature in draw order, then position."""
-    n = y.size
-    cols = X[:, feats].T
-    order = np.argsort(cols, axis=1, kind="stable")
-    vs = np.take_along_axis(cols, order, axis=1)
-    ys = y[order]
-    k = np.arange(1.0, n)
+
+@np.errstate(divide="ignore", invalid="ignore")  # pads are scored, then masked
+def _best_splits(X, y, rows, sizes, feats, task):
+    """Each node's lowest weighted child impurity over midpoint thresholds.
+
+    Node j has rows `rows[j, :sizes[j]]` of (X, y) in bootstrap order and the
+    drawn features `feats[j]`, each one row of a sorted block padded with
+    +inf. Ties go to the first feature in draw order, then position. Returns
+    each node's score (inf if no drawn feature varies), feature, threshold."""
+    if len(rows) > 1 and rows.size * feats.shape[1] > 8192:  # bounds memory
+        h = len(rows) // 2
+        return tuple(map(np.concatenate, zip(
+            _best_splits(X, y, rows[:h], sizes[:h], feats[:h], task),
+            _best_splits(X, y, rows[h:], sizes[h:], feats[h:], task))))
+    node = np.arange(len(rows))[:, None, None]
+    pad = np.arange(rows.shape[1]) >= sizes[:, None]
+    cols = X[rows[:, None, :], feats[:, :, None]]
+    np.copyto(cols, np.inf, where=pad[:, None])
+    order = np.argsort(cols, axis=2, kind="stable")
+    vs = np.take_along_axis(cols, order, axis=2)
+    ys = np.where(pad, 0, y[rows])[node, order]
+    n, k = sizes[:, None, None], np.arange(1.0, rows.shape[1])
     if task == "classify":
-        ones = np.cumsum(ys, axis=1)[:, :-1].astype(float)
-        tot_ones = ys.sum(axis=1, keepdims=True).astype(float)
+        ones = np.cumsum(ys, axis=2)[..., :-1].astype(float)
+        tot_ones = ys.sum(axis=2, keepdims=True).astype(float)
         p1l = ones / k
         p1r = (tot_ones - ones) / (n - k)
         gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
         gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
         score = (k * gini_l + (n - k) * gini_r) / n
     else:
-        s = np.cumsum(ys, axis=1)[:, :-1]
-        sq = np.cumsum(ys * ys, axis=1)[:, :-1]
-        tot_s = ys.sum(axis=1, keepdims=True)
-        tot_sq = (ys * ys).sum(axis=1, keepdims=True)
+        ys = np.stack([ys, ys * ys], 1)
+        s, sq = np.cumsum(ys, axis=3)[..., :-1].swapaxes(0, 1)
+        tot_s, tot_sq = _totals(ys, sizes)[..., None].swapaxes(0, 1)
         var_l = sq / k - (s / k) ** 2
         var_r = (tot_sq - sq) / (n - k) - ((tot_s - s) / (n - k)) ** 2
         score = (k * var_l + (n - k) * var_r) / n
-    score = np.where(vs[:, 1:] > vs[:, :-1], score, np.inf)
-    i, pos = np.unravel_index(np.argmin(score), score.shape)
-    if score[i, pos] == np.inf:
-        return None
-    return (float(score[i, pos]), int(feats[i]),
-            float(0.5 * (vs[i, pos] + vs[i, pos + 1])))
-
-
-def _grow(table, X, y, task, depth, config, m_try, rng):
-    """Append the tree for (X, y) to `table` depth first; return its root."""
-    node = len(table)
-    value = (np.bincount(y, minlength=len(CLASS_ORDER)) / y.size
-             if task == "classify" else float(np.mean(y)))
-    table.append([0, 0.0, node, node, value])
-    if depth >= config.max_depth or y.size < 2 or np.ptp(y) == 0:
-        return node
-    feats = rng.choice(X.shape[1], size=m_try, replace=False)
-    split = _best_split(X, y, feats, task)
-    if split is None:
-        return node
-    _, f, threshold = split
-    go_left = X[:, f] <= threshold
-    table[node][:4] = [f, threshold] + [  # the left subtree draws first
-        _grow(table, X[side], y[side], task, depth + 1, config, m_try, rng)
-        for side in (go_left, ~go_left)]
-    return node
+    score[~((vs[..., 1:] > vs[..., :-1]) & (k < n))] = np.inf
+    score = score.reshape(len(rows), -1)
+    best = np.argmin(score, axis=1)
+    j, (i, pos) = node[:, 0, 0], np.divmod(best, k.size)
+    return (score[j, best], feats[j, i],
+            0.5 * (vs[j, i, pos] + vs[j, i, pos + 1]))
 
 
 def fit_random_forest(latents, labels, config=None, task="classify"):
-    """Fit bagged decision trees on latent vectors."""
+    """Fit bagged decision trees on latent vectors.
+
+    Tree i bootstraps and draws features from its own rng, depth first, the
+    left subtree first. The trees grow in lock step: each step pops the next
+    node off every unfinished tree's stack and scores them together."""
     config = config or HeadConfig(kind="random_forest")
     X = _as_matrix(latents)
     _check_inputs(X, labels, task)
@@ -317,15 +332,59 @@ def fit_random_forest(latents, labels, config=None, task="classify"):
     else:
         m_try = max(1, d // 3)
 
-    table, roots = [], []
-    for i in range(config.tree_count):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
-        boot = rng.integers(0, n, size=n)
-        roots.append(_grow(table, X[boot], y[boot], task, 0, config, m_try, rng))
+    trees = config.tree_count
+    rngs = [np.random.default_rng(np.random.SeedSequence((config.seed, i)))
+            for i in range(trees)]
+    boot = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+    # owner[t, p] labels the node that holds tree t's bootstrap row p: the
+    # root is 0, and the split of step record r has children 2r + 1 (left)
+    # and 2r + 2 (right). Each tree's depth-first stack holds (label, depth)
+    # rows: one pending right child per depth, and the pair just pushed.
+    owner, top, steps = np.zeros((trees, n), int), np.ones(trees, int), []
+    records = 0  # step records so far, one per popped node
+    stack = np.zeros((trees, min(config.max_depth, n) + 2, 2), dtype=int)
+    while (tree := np.flatnonzero(top)).size:
+        top[tree] -= 1
+        label, depth = stack[tree, top[tree]].T
+        mine = owner[tree] == label[:, None]
+        size = mine.sum(axis=1)
+        at = np.arange(size.max())
+        pos = np.argsort(~mine, axis=1, kind="stable")[:, :at.size]
+        pos = np.where(at < size[:, None], pos, pos[:, :1])  # a pad: 1st row
+        rows = boot[tree[:, None], pos]  # in bootstrap order
+        total = _totals(np.where(at < size[:, None], y[rows], 0), size)
+        value = total / size if task == "regress" else \
+            np.c_[size - total, total] / size[:, None]
+        feature, threshold = np.zeros(tree.size, int), np.zeros(tree.size)
+        split = np.flatnonzero((depth < config.max_depth)
+                               & (np.ptp(y[rows], axis=1) > 0))
+        if split.size:
+            feats = np.array([rngs[t].choice(d, m_try, replace=False)
+                              for t in tree[split]])
+            score, f, thr = _best_splits(X, y, rows[split], size[split],
+                                         feats, task)
+            ok = score < np.inf
+            split = split[ok]
+            feature[split], threshold[split] = f[ok], thr[ok]
+        t, r = tree[split], records + split
+        owner[t[:, None], pos[split]] = 2 * r[:, None] + 2 - (
+            X[rows[split], feature[split, None]] <= threshold[split, None])
+        for slot, side in ((0, 2), (1, 1)):  # the left child goes on top
+            stack[t, top[t] + slot] = np.c_[2 * r + side, depth[split] + 1]
+        top[t] += 2
+        records += tree.size
+        steps.append((tree, label, feature, threshold, value))
 
-    forest = Forest(task, d, *map(np.array, zip(*table)), np.array(roots))
+    tree, label, feature, threshold, value = map(np.concatenate, zip(*steps))
+    row = np.argsort(tree, kind="stable")  # tree by tree, each depth first
+    node, here = np.argsort(row), np.arange(row.size)
+    right, is_right = here.copy(), (label > 0) & (label % 2 == 0)
+    right[node[label[is_right] // 2 - 1]] = node[is_right]
+    forest = Forest(task, d, feature[row], threshold[row],
+                    np.where(right > here, here + 1, here), right, value[row],
+                    np.searchsorted(tree[row], np.arange(trees)))
     metrics = _fit_metrics(forest, X, y, train=slice(None))
-    return forest, FitReport(param_count=len(table), final_metrics=metrics)
+    return forest, FitReport(param_count=row.size, final_metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +414,7 @@ def predict(head, x):
     # Each (row, tree) pair descends one level per pass until none moves; the
     # next node is slot 2 * node + (x <= threshold) of the (right, left) table.
     offset = np.arange(len(X))[:, None] * X.shape[1]
-    child, flat = np.stack([head.right, head.left], 1).ravel(), X.ravel()
+    (child, votes), flat = head._walk, X.ravel()
     node, below = None, np.broadcast_to(head.roots, (len(X), head.roots.size))
     while not np.array_equal(node, below):
         node = below
@@ -363,7 +422,7 @@ def predict(head, x):
                                   <= head.threshold[node])]
     if head.task == "classify":
         # Like argmax, a leaf whose frequencies tie votes for the first class.
-        hot = np.sum((head.value[:, 1] > head.value[:, 0])[node], axis=1)
+        hot = np.sum(votes[node], axis=1)
         probs = np.stack([node.shape[1] - hot, hot], 1) / node.shape[1]
         return probs[0] if single else probs
     # A contiguous (rows, trees) mean sums each row in tree order.

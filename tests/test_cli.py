@@ -402,6 +402,42 @@ class TestExitCodesAndLocking:
         assert run_cli("gen-data", "--out", str(out), "--count", COUNT,
                        "--seed", SEED) == 3
 
+    def test_live_lock_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "live"
+        out.mkdir()
+        (out / cli.LOCK_NAME).write_text(str(os.getpid()))
+        assert run_cli("gen-data", "--out", str(out), "--count", COUNT,
+                       "--seed", SEED) == 3
+        assert "locked by another command" in capsys.readouterr().err
+
+    def test_stale_lock_reported_with_its_pid_and_kept(self, tmp_path,
+                                                       capsys):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=60)  # reaped, so its pid names no process
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / cli.LOCK_NAME).write_text(str(child.pid))
+        assert run_cli("gen-data", "--out", str(out), "--count", COUNT,
+                       "--seed", SEED) == 3
+        err = capsys.readouterr().err
+        assert f"stale lock: process {child.pid} is not running" in err
+        assert (out / cli.LOCK_NAME).read_text() == str(child.pid)
+        assert not (out / "manifest.json").exists()
+
+    def test_lock_holds_the_writer_pid(self, tmp_path, monkeypatch):
+        seen = []
+        save = cli.D.save_dataset
+
+        def spy(dataset, out, **kw):
+            with open(os.path.join(out, cli.LOCK_NAME)) as fh:
+                seen.append(fh.read())
+            return save(dataset, out, **kw)
+
+        monkeypatch.setattr(cli.D, "save_dataset", spy)
+        assert run_cli("gen-data", "--out", str(tmp_path / "g"), "--count",
+                       COUNT, "--seed", SEED) == 0
+        assert seen == [str(os.getpid())]
+
     def test_lock_removed_after_success(self, ws):
         assert not os.path.exists(os.path.join(ws.data, cli.LOCK_NAME))
 

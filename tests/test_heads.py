@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dpae import heads as H
+from dpae import tensor as T
 from dpae.data import Location
 
 
@@ -127,6 +128,18 @@ class TestMlpClassify:
             assert stop == report.stopping_epoch
         assert len(report.train_curve) == report.stopping_epoch
         assert len(report.val_curve) == report.stopping_epoch
+
+    def test_fitted_head_keeps_no_gradients(self):
+        latents, labels = blob_toy(seed=19)
+        head, _ = H.fit_mlp_head(latents, labels, H.HeadConfig(max_epochs=5))
+        assert all(p.grad is None for p in head.params.values())
+        # The same weights with gradient buffers attached predict the same.
+        kept = H.MlpHead(head.task, head.widths, T.parameters(
+            {k: p.data.copy() for k, p in head.params.items()}))
+        assert all(p.grad is not None for p in kept.params.values())
+        probe = np.stack(latents)
+        np.testing.assert_array_equal(H.predict(head, probe),
+                                      H.predict(kept, probe))
 
 
 class TestMlpRegress:
@@ -433,6 +446,15 @@ def per_feature_best_split(X, y, feats, task):
     return best
 
 
+def best_split(X, y, feats, task):
+    """The block scorer on one node holding every row of (X, y)."""
+    score, feature, threshold = H._best_splits(
+        X, y, np.arange(y.size)[None], np.array([y.size]), feats[None], task)
+    if score[0] == np.inf:
+        return None
+    return float(score[0]), int(feature[0]), float(threshold[0])
+
+
 def split_targets(rng, n, task):
     if task == "classify":
         return rng.integers(0, 2, size=n)
@@ -451,7 +473,7 @@ class TestBestSplit:
             y = split_targets(rng, n, task)
             feats = rng.choice(d, size=int(rng.integers(1, d + 1)),
                                replace=False)
-            assert H._best_split(X, y, feats, task) == \
+            assert best_split(X, y, feats, task) == \
                 per_feature_best_split(X, y, feats, task)
 
     @pytest.mark.parametrize("task", ["classify", "regress"])
@@ -463,7 +485,7 @@ class TestBestSplit:
         if task == "regress":
             y = 10.0 + 5.0 * y + split_targets(rng, 40, task) / 100.0
         for feats, first in (([3, 1], 3), ([1, 3], 1), ([0, 3, 2, 1], 3)):
-            split = H._best_split(X, y, np.array(feats), task)
+            split = best_split(X, y, np.array(feats), task)
             assert split == per_feature_best_split(X, y, np.array(feats), task)
             assert split[1] == first
 
@@ -473,9 +495,36 @@ class TestBestSplit:
         X = rng.normal(size=(30, 4))
         X[:, [0, 2]] = 1.5
         y = split_targets(rng, 30, task)
-        assert H._best_split(X, y, np.array([2, 0]), task) is None
+        assert best_split(X, y, np.array([2, 0]), task) is None
         assert per_feature_best_split(X, y, np.array([2, 0]), task) is None
-        assert H._best_split(X, y, np.array([2, 1]), task)[1] == 1
+        assert best_split(X, y, np.array([2, 1]), task)[1] == 1
+
+    @pytest.mark.parametrize("task", ["classify", "regress"])
+    @pytest.mark.parametrize("decimals", [0, 1])
+    def test_mixed_size_block_matches_per_feature_search(self, task,
+                                                         decimals):
+        # Nodes of 2-70 rows share one padded block, and the scorer halves
+        # it when it exceeds 8,192 entries: each node must score exactly as
+        # it would alone, so no total may be summed over padding.
+        rng = np.random.default_rng(59 + decimals)
+        d, m = 9, 4
+        for _ in range(20):
+            sizes = rng.integers(2, 71, size=int(rng.integers(1, 60)))
+            X = np.round(rng.normal(scale=2.0, size=(sizes.sum(), d)),
+                         decimals)
+            y = split_targets(rng, sizes.sum(), task)
+            first = np.cumsum(sizes) - sizes
+            at = np.arange(sizes.max())
+            rows = first[:, None] + np.minimum(at, sizes[:, None] - 1)
+            feats = np.array([rng.choice(d, m, replace=False) for _ in sizes])
+            got = H._best_splits(X, y, rows, sizes, feats, task)
+            for j, (lo, size) in enumerate(zip(first, sizes)):
+                want = per_feature_best_split(X[lo:lo + size], y[lo:lo + size],
+                                              feats[j], task)
+                if want is None:
+                    assert got[0][j] == np.inf
+                else:
+                    assert (got[0][j], got[1][j], got[2][j]) == want
 
 
 def pinned_forest(task):
@@ -488,6 +537,28 @@ def pinned_forest(task):
     return H.fit_random_forest(
         list(X), labels, H.HeadConfig(kind="random_forest", tree_count=20,
                                       seed=5), task=task)[0]
+
+
+def variant_forest(task, rows=160, decimals=None, **config):
+    """`pinned_forest` on its first `rows` rows, rounded to `decimals`, with
+    `config` overriding its head configuration."""
+    X = np.random.default_rng(21).normal(size=(160, 12))[:rows]
+    if decimals is not None:
+        X = np.round(X, decimals)
+    labels = [H.DiagnosisLabel(
+        Location.HOT_LEG if x[0] + x[1] * x[2] > 0 else Location.COLD_LEG,
+        1.0 + abs(x[3] + 0.5 * x[4])) for x in X]
+    config = {"tree_count": 20, "seed": 5, **config}
+    return H.fit_random_forest(
+        list(X), labels, H.HeadConfig(kind="random_forest", **config),
+        task=task)[0]
+
+
+def node_table_digest(forest):
+    h = hashlib.sha256()
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        h.update(getattr(forest, name).tobytes())
+    return h.hexdigest()
 
 
 def leaf_values(forest, probe):
@@ -520,6 +591,52 @@ class TestForestTable:
         for name in ("feature", "threshold", "left", "right", "value", "roots"):
             h.update(getattr(forest, name).tobytes())
         assert h.hexdigest() == digest
+
+    # Recorded from the recursive grower that grew one tree, and scored one
+    # node, at a time; the sha256 is taken as in `test_node_table_pinned`.
+    @pytest.mark.parametrize("task, variant, nodes, digest", [
+        ("classify", {"tree_count": 1}, 47,
+         "095fb6f27f89f25b3ce547bb5a9d69203702ef3e332d284c62bccf59c9d1753a"),
+        ("classify", {"max_depth": 1}, 60,
+         "3ec2dfb39fd8ae87da26c6f56c11c61fcab8cb81949b5471b4948692e04d9d08"),
+        ("classify", {"max_depth": 3}, 272,
+         "7fec63f82638d5122ec8bdcb44ae6f3b6d89b4a71887f700b7b54552b365c2c7"),
+        ("classify", {"decimals": 0}, 1028,
+         "f704f49d0364aecf34672387f6df044e4cbf6efa3aaf7c00b83fb219be56c3f5"),
+        ("classify", {"rows": 8}, 84,
+         "cc1d7f12ac6c9ce63cd980f0b36ecf9167d6ba89163d2f218b6cabd92c3f88dd"),
+        ("regress", {"tree_count": 1}, 85,
+         "470324b57940ff754e6a2b4e77d4b407cf7ecd820646c5bcdff1f59cc75d83e0"),
+        ("regress", {"max_depth": 1}, 60,
+         "50e6b145c213fbf105b1a595f8d66eb14ae61160b406a5095c8ea96a8e5246e0"),
+        ("regress", {"max_depth": 3}, 286,
+         "51af677ea64d5fe6cadba13c13614d4fdb107149d7a461ad423d810e10e76598"),
+        ("regress", {"decimals": 0}, 1550,
+         "5fa6235bc6d8dbfaefd3fed8c3c55417ce39d30161f1bba9ab108b00d6407ad7"),
+        ("regress", {"rows": 8}, 180,
+         "66ffd1d023f307768b30c68cce38e98f4ac366787ca7b39f664c5d7c908a10e5"),
+    ], ids=["classify-1-tree", "classify-depth-1", "classify-depth-3",
+            "classify-ties", "classify-8-rows", "regress-1-tree",
+            "regress-depth-1", "regress-depth-3", "regress-ties",
+            "regress-8-rows"])
+    def test_variant_node_tables_pinned(self, task, variant, nodes, digest):
+        forest = variant_forest(task, **variant)
+        assert forest.feature.size == nodes
+        assert node_table_digest(forest) == digest
+        for name in ("feature", "left", "right", "roots"):
+            assert getattr(forest, name).dtype == np.int64
+        assert forest.threshold.dtype == forest.value.dtype == np.float64
+
+    def test_predict_tables_built_once_and_never_saved(self, tmp_path):
+        forest = pinned_forest("classify")
+        assert "_walk" in vars(forest)  # built by the fit's training predict
+        walk = forest._walk
+        H.predict(forest, np.zeros(12))
+        assert forest._walk is walk
+        H.save_head(forest, tmp_path / "f")
+        doc = json.loads((tmp_path / "f" / "forest.json").read_text())
+        assert set(doc) == {"kind", "task", "n_features", "feature",
+                            "threshold", "left", "right", "value", "roots"}
 
     @pytest.mark.parametrize("task", ["classify", "regress"])
     def test_depth_zero_forest_is_all_roots(self, task):
