@@ -476,7 +476,7 @@ def cmd_explain(args):
 def _gradcheck_ops(seed):
     rng = np.random.default_rng(seed)
     hdim = 4
-    P = T.parameters({
+    arrays = {
         "a": rng.normal(size=(3, 4)),
         "b": rng.normal(size=(4, 2)),
         "w": rng.normal(size=(5, 3)),
@@ -491,9 +491,9 @@ def _gradcheck_ops(seed):
         "whh": rng.normal(size=(hdim, 4 * hdim)) / np.sqrt(hdim),
         "bl": np.zeros((1, 4 * hdim)),
         "logits": rng.normal(size=(4, 3)),
-    })
+    }
     onehot = np.eye(3)[rng.integers(0, 3, size=4)]
-    P["qkv"] = T.Parameter(rng.normal(size=(5, 12)), "qkv")  # 2 heads of width 2
+    P = T.Parameters({**arrays, "qkv": rng.normal(size=(5, 12))})  # 2 heads of width 2
 
     def check(name, op, *names):
         probed = {n: P[n] for n in names}

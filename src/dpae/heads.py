@@ -108,10 +108,14 @@ class Forest:
 
     @cached_property
     def _walk(self):
-        """`predict`'s flat (right, left) child table and each node's vote for
-        the second class, built once per forest; not fields, so never saved."""
+        """`predict`'s flat (right, left) child table, each node's second-class
+        vote and the deepest leaf's depth: built once, not fields, never saved."""
         votes = self.task == "classify" and self.value[:, 1] > self.value[:, 0]
-        return np.stack([self.right, self.left], 1).ravel(), votes
+        depth, level = 0, self.roots
+        while (level := level[self.left[level] != level]).size:
+            level = np.concatenate([self.left[level], self.right[level]])
+            depth += 1
+        return np.stack([self.right, self.left], 1).ravel(), votes, depth
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +217,15 @@ def _fit_network(X, labels, task, widths, config):
     if task == "classify" and len({int(v) for v in y[train_idx]}) < 2:
         raise ValueError("classification needs both locations present")
 
-    params = T.parameters(init_dense({}, "", widths, rng_init))
+    params = T.Parameters(init_dense({}, "", widths, rng_init))
     state = NAdamState(params)
-    report = FitReport(param_count=sum(p.data.size for p in params.values()))
+    report = FitReport(param_count=params.data.size)
 
     for epoch in range(config.max_epochs):
         loss = _network_loss(params, widths, X[train_idx], y[train_idx], task)
         T.zero_grads(params)
         T.backward(loss)
-        nadam_step(params, {k: p.grad for k, p in params.items()}, state,
-                   config.lr * config.lr_decay ** epoch)
+        nadam_step(params, params.grad, state, config.lr * config.lr_decay ** epoch)
         report.train_curve.append(loss.item())
         val_loss = _network_loss(params, widths, X[val_idx], y[val_idx], task)
         report.val_curve.append(val_loss.item())
@@ -230,7 +233,7 @@ def _fit_network(X, labels, task, widths, config):
         if early_stop_epoch(report.val_curve, config.early_stop_window,
                             config.early_stop_threshold) is not None:
             break
-    for p in params.values():  # predictions need no gradient buffers
+    for p in (params, *params.values()):  # predictions need no gradients
         p.grad = None
 
     head = MlpHead(task=task, widths=tuple(widths), params=params)
@@ -411,15 +414,14 @@ def predict(head, x):
         vals = out.data.reshape(-1)
         return float(vals[0]) if single else vals
 
-    # Each (row, tree) pair descends one level per pass until none moves; the
-    # next node is slot 2 * node + (x <= threshold) of the (right, left) table.
+    # Each (row, tree) pair descends one level per pass to the deepest leaf (a leaf
+    # is its own child); the next node is slot 2 * node + (x <= threshold) of (right, left).
     offset = np.arange(len(X))[:, None] * X.shape[1]
-    (child, votes), flat = head._walk, X.ravel()
-    node, below = None, np.broadcast_to(head.roots, (len(X), head.roots.size))
-    while not np.array_equal(node, below):
-        node = below
-        below = child[2 * node + (flat[offset + head.feature[node]]
-                                  <= head.threshold[node])]
+    (child, votes, depth), flat = head._walk, X.ravel()
+    node = np.broadcast_to(head.roots, (len(X), head.roots.size))
+    for _ in range(depth):
+        node = child[2 * node + (flat[offset + head.feature[node]]
+                                 <= head.threshold[node])]
     if head.task == "classify":
         # Like argmax, a leaf whose frequencies tie votes for the first class.
         hot = np.sum(votes[node], axis=1)
@@ -480,11 +482,11 @@ def load_head(dir_path):
     forest_path = os.path.join(dir_path, "forest.json")
     if os.path.exists(forest_path):
         return _forest_from_doc(read_json(forest_path), forest_path)
-    meta, values = load_params(dir_path)
+    meta, saved = load_params(dir_path)
     if meta.get("kind") != "head":
         raise IOError(f"checkpoint at {dir_path} is not a diagnosis head")
     widths = tuple(meta["widths"])
     # A fresh head declares the layout; restore_params overwrites its values.
-    params = T.parameters(init_dense({}, "", widths, np.random.default_rng(0)))
-    restore_params(params, values, dir_path)
+    params = T.Parameters(init_dense({}, "", widths, np.random.default_rng(0)))
+    restore_params(params, saved, dir_path)
     return MlpHead(task=meta["task"], widths=widths, params=params)

@@ -128,9 +128,12 @@ def _sample_coalitions(rng, d, count):
     sizes = np.arange(1, d)
     p = (d - 1) / (sizes * (d - sizes))
     p = p / p.sum()
+    # Generator.choice(sizes, p=p)'s draw, without its per-call checks.
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
     bits = np.zeros((count, d), dtype=bool)
     for k in range(count):
-        s = int(rng.choice(sizes, p=p))
+        s = int(sizes[cdf.searchsorted(rng.random(), side="right")])
         bits[k, rng.choice(d, size=s, replace=False)] = True
     return bits
 

@@ -76,11 +76,11 @@ class DPAE:
         self.grid = profile.grid()
         self.pe_table = compute_pe(profile.N + 1, profile.D)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.params = T.parameters({**init_encoder_params(profile, rng),
-                                    **init_decoder_params(profile, rng)})
+        self.params = T.Parameters({**init_encoder_params(profile, rng),
+                                     **init_decoder_params(profile, rng)})
 
     def parameter_count(self):
-        return sum(p.data.size for p in self.params.values())
+        return self.params.data.size
 
     def encode(self, x, perturb=None, train_mode=False, rng=None):
         """x -> (latent, class row, mask); perturb is (snr_db, ratio_pad)."""

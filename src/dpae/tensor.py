@@ -17,6 +17,7 @@ immediately instead of silently broadcasting.
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 from scipy.special import erf
@@ -68,21 +69,42 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, data, name: str):
+    def __init__(self, data, name: str, grad=None):
         super().__init__(data)
         self.name = name
-        self.grad = np.zeros_like(self.data)
-
-    def zero_grad(self):
-        self.grad.fill(0.0)
+        self.grad = np.zeros_like(self.data) if grad is None else grad
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-def parameters(arrays) -> dict:
-    """Wrap {name: array} as {name: Parameter} named by its key."""
-    return {name: Parameter(value, name) for name, value in arrays.items()}
+def flat_zeros(n, populate=False):
+    """n float64 zeros in their own private anonymous mapping, its pages faulted
+    in at once if `populate` (on Linux), else left untouched until written.
+    Freeing it leaves glibc's mmap threshold alone: a freed malloc chunk of
+    model size would raise it, and the heap would then fragment."""
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+    flags |= getattr(mmap, "MAP_POPULATE", 0) if populate else 0
+    return np.frombuffer(mmap.mmap(-1, 8 * n, flags), dtype=np.float64)
+
+
+class Parameters(dict):
+    """{name: Parameter} from {name: array} by sorted name; values and gradients
+    are views into flat ``data`` and ``grad`` at the offsets ``layout`` lists
+    (a checkpoint manifest's entries; its payload is ``data``)."""
+
+    def __init__(self, arrays):
+        names = sorted(arrays)
+        shapes = [np.shape(arrays[k]) for k in names]
+        ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+        self.data, self.grad = flat_zeros(ends[-1], True), flat_zeros(ends[-1])
+        self.layout = [{"name": name, "shape": list(shape), "offset": lo}
+                       for name, shape, lo in zip(names, shapes, ends)]
+        super().__init__()
+        for name, shape, lo, hi in zip(names, shapes, ends, ends[1:]):
+            self.data[lo:hi] = np.ravel(arrays[name])
+            self[name] = Parameter(self.data[lo:hi].reshape(shape), name,
+                                   self.grad[lo:hi].reshape(shape))
 
 
 def _accum(node: Tensor, g: np.ndarray):
@@ -453,7 +475,7 @@ def backward(root: Tensor):
     """Accumulate d(root)/d(node) into every node reachable from root.
 
     ``root`` must be a scalar (size-1) tensor. Parameter gradients accumulate
-    on top of whatever they already hold; call ``zero_grad`` first for a
+    on top of whatever they already hold; call ``zero_grads`` first for a
     fresh gradient. Intermediate tape nodes get fresh gradient buffers, so
     running backward twice over the same tape (with parameters re-zeroed)
     produces identical results.
@@ -471,8 +493,8 @@ def backward(root: Tensor):
 
 
 def zero_grads(params) -> None:
-    for p in _param_list(params):
-        p.zero_grad()
+    for p in [params] if isinstance(params, Parameters) else _param_list(params):
+        p.grad.fill(0.0)
 
 
 def _param_list(params):
@@ -517,20 +539,15 @@ def grad_check(f, params, eps: float = 1e-5, entries_per_param: int | None = Non
     analytic = [p.grad.copy() for p in plist]
 
     def probe(flat, i):
-        orig = flat[i]
-        flat[i] = orig + eps
-        lp = f().item()
-        flat[i] = orig - eps
-        lm = f().item()
-        if order == 2:
-            flat[i] = orig
-            return (lp - lm) / (2.0 * eps)
-        flat[i] = orig + 2.0 * eps
-        lp2 = f().item()
-        flat[i] = orig - 2.0 * eps
-        lm2 = f().item()
+        orig, values = flat[i], []
+        for step in (eps, -eps, 2.0 * eps, -2.0 * eps)[:order]:
+            flat[i] = orig + step
+            values.append(f().item())
         flat[i] = orig
-        return (8.0 * (lp - lm) - (lp2 - lm2)) / (12.0 * eps)
+        lp, lm, *wide = values
+        if order == 2:
+            return (lp - lm) / (2.0 * eps)
+        return (8.0 * (lp - lm) - (wide[0] - wide[1])) / (12.0 * eps)
 
     worst = 0.0
     for p, g_ad in zip(plist, analytic):

@@ -48,13 +48,12 @@ class TrainConfig:
 
 
 class NAdamState:
-    """Moments per parameter, the momentum-schedule product, two work arrays."""
+    """Moments laid out like the parameter buffer, the schedule product, work."""
 
     def __init__(self, params):
         self.t = 0
         self.mu_product = 1.0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m, self.v = T.flat_zeros(2 * params.data.size, True).reshape(2, -1)
         self.work = np.empty((2, NADAM_BLOCK))
 
 
@@ -65,17 +64,18 @@ def mse_loss(x_clean, x_re):
     return T.mean_all(T.square(T.sub(x_re, x_clean)))
 
 
-def nadam_step(params, grads, state, lr):
-    """One Nesterov-Adam update over all parameters, in place.
+def nadam_step(params, grad, state, lr):
+    """One in-place Nesterov-Adam update of `params.data` by its flat gradient `grad`.
 
     mu_t follows the warming schedule
     BETA1 * (1 - 0.5 * 0.96^(t * MOMENTUM_DECAY)); the first-moment estimate
     is debiased with the running product of the schedule (including mu_t) and
     combined with a Nesterov look-ahead term.
     """
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for parameter {name}")
+    if not np.isfinite(grad).all():
+        at = np.argmin(np.isfinite(grad))
+        name = [e["name"] for e in params.layout if e["offset"] <= at][-1]
+        raise FloatingPointError(f"non-finite gradient for parameter {name}")
 
     t = state.t + 1
     mu_t = BETA1 * (1.0 - 0.5 * 0.96 ** (t * MOMENTUM_DECAY))
@@ -85,22 +85,20 @@ def nadam_step(params, grads, state, lr):
 
     # Per block, in the operation order of m_hat = mu_next * m / (1 - product_next)
     # + (1 - mu_t) * g / (1 - mu_product); p -= lr * m_hat / (sqrt(v_hat) + EPS).
-    for name, p in params.items():
-        flat = [x.reshape(-1, copy=False)
-                for x in (p.data, grads[name], state.m[name], state.v[name])]
-        for lo in range(0, p.data.size, NADAM_BLOCK):
-            pb, g, m, v = (x[lo:lo + NADAM_BLOCK] for x in flat)
-            a, b = state.work[:, :g.size]
-            m *= BETA1
-            m += np.multiply(1.0 - BETA1, g, out=a)
-            v *= BETA2
-            v += np.multiply(np.multiply(1.0 - BETA2, g, out=a), g, out=a)
-            np.divide(np.multiply(mu_next, m, out=a), 1.0 - product_next, out=a)
-            a += np.divide(np.multiply(1.0 - mu_t, g, out=b),
-                           1.0 - state.mu_product, out=b)
-            a *= lr
-            np.add(np.sqrt(np.divide(v, 1.0 - BETA2 ** t, out=b), out=b), EPS, out=b)
-            pb -= np.divide(a, b, out=a)
+    for lo in range(0, grad.size, NADAM_BLOCK):
+        pb, g, m, v = (x[lo:lo + NADAM_BLOCK]
+                       for x in (params.data, grad, state.m, state.v))
+        a, b = state.work[:, :g.size]
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=a)
+        v *= BETA2
+        v += np.multiply(np.multiply(1.0 - BETA2, g, out=a), g, out=a)
+        np.divide(np.multiply(mu_next, m, out=a), 1.0 - product_next, out=a)
+        a += np.divide(np.multiply(1.0 - mu_t, g, out=b),
+                       1.0 - state.mu_product, out=b)
+        a *= lr
+        np.add(np.sqrt(np.divide(v, 1.0 - BETA2 ** t, out=b), out=b), EPS, out=b)
+        pb -= np.divide(a, b, out=a)
     state.t = t
 
 
@@ -113,8 +111,7 @@ def train_step(x, model, state, config, rng):
         loss = mse_loss(x, recon)
         T.zero_grads(model.params)
         T.backward(loss)
-        grads = {k: p.grad for k, p in model.params.items()}
-        nadam_step(model.params, grads, state, config.lr_ini)
+        nadam_step(model.params, model.params.grad, state, config.lr_ini)
         losses.append(loss.item())
     return losses
 
@@ -178,49 +175,30 @@ def _config_dict(config):
 
 
 def save_params(params, dir_path, meta):
-    """Serialize a parameter dict; `meta` lands in the manifest verbatim."""
+    """The parameter buffer is the payload; `meta` lands in the manifest verbatim."""
     os.makedirs(dir_path, exist_ok=True)
-    names = sorted(params.keys())
-    entries = []
-    offset = 0
-    chunks = []
-    for name in names:
-        arr = params[name].data
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size
-        chunks.append(arr.reshape(-1))
-    payload = np.concatenate(chunks).astype("<f8")
     with atomic_write(os.path.join(dir_path, "params.bin"), "wb") as fh:
-        fh.write(payload.tobytes())
+        fh.write(params.data.astype("<f8", copy=False))
     write_json(os.path.join(dir_path, "manifest.json"),
-               {"meta": meta, "parameters": entries, "total_size": offset})
+               {"meta": meta, "parameters": params.layout,
+                "total_size": params.data.size})
 
 
 def load_params(dir_path):
-    """Read back (manifest meta, {name: ndarray})."""
+    """Read back (manifest meta, (manifest layout, flat payload))."""
     manifest = read_json(os.path.join(dir_path, "manifest.json"))
     with open(os.path.join(dir_path, "params.bin"), "rb") as fh:
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    if flat.size != manifest["total_size"]:
-        raise IOError(f"payload size {flat.size} != manifest {manifest['total_size']}")
-    values = {}
-    for entry in manifest["parameters"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        values[entry["name"]] = flat[start:start + size].reshape(shape).copy()
-    return manifest["meta"], values
+        flat = np.frombuffer(fh.read(), dtype="<f8")
+    return manifest["meta"], (manifest["parameters"], flat)
 
 
-def restore_params(params, values, dir_path):
-    """Overwrite fresh parameters with loaded arrays of the same names and shapes."""
-    if set(values) != set(params):
-        raise IOError(f"checkpoint at {dir_path}: parameter names do not match "
-                      "the layout it declares")
-    for name, arr in values.items():
-        if params[name].data.shape != arr.shape:
-            raise IOError(f"checkpoint at {dir_path}: shape mismatch for {name}")
-        params[name].data[...] = arr
+def restore_params(params, saved, dir_path):
+    """Fill fresh parameters' buffer from a checkpoint of the same layout."""
+    layout, flat = saved
+    if layout != params.layout or flat.size != params.data.size:
+        raise IOError(f"checkpoint at {dir_path}: its parameter layout or payload "
+                      f"size ({flat.size} values) does not match the model's")
+    params.data[...] = flat
 
 
 def save_checkpoint(model, dir_path, config=None, history=None):
@@ -241,7 +219,7 @@ def save_checkpoint(model, dir_path, config=None, history=None):
 
 def load_checkpoint(dir_path):
     """Rebuild the model from a checkpoint; values restore bit-exactly."""
-    meta, values = load_params(dir_path)
+    meta, saved = load_params(dir_path)
     if meta.get("kind") != "dpae":
         raise IOError(f"checkpoint at {dir_path} is not an autoencoder checkpoint")
     prof = meta["profile"]
@@ -252,5 +230,5 @@ def load_checkpoint(dir_path):
         raise IOError(f"checkpoint at {dir_path} has a malformed profile "
                       f"block: {e}") from None
     model = DPAE(profile, seed=meta["seed"])
-    restore_params(model.params, values, dir_path)
+    restore_params(model.params, saved, dir_path)
     return model, meta

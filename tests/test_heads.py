@@ -132,9 +132,10 @@ class TestMlpClassify:
     def test_fitted_head_keeps_no_gradients(self):
         latents, labels = blob_toy(seed=19)
         head, _ = H.fit_mlp_head(latents, labels, H.HeadConfig(max_epochs=5))
+        assert head.params.grad is None
         assert all(p.grad is None for p in head.params.values())
         # The same weights with gradient buffers attached predict the same.
-        kept = H.MlpHead(head.task, head.widths, T.parameters(
+        kept = H.MlpHead(head.task, head.widths, T.Parameters(
             {k: p.data.copy() for k, p in head.params.items()}))
         assert all(p.grad is not None for p in kept.params.values())
         probe = np.stack(latents)
@@ -316,6 +317,28 @@ class TestPersistence:
         probe = np.stack(latents)
         np.testing.assert_array_equal(H.predict(head, probe),
                                       H.predict(loaded, probe))
+
+    # sha256 of params.bin, recorded before the parameters lived in one buffer.
+    @pytest.mark.parametrize("task, digest", [
+        ("classify",
+         "a54782766e29826547d5e75947fa22fb1678b0740bc49346ca9edc947e8eb10e"),
+        ("regress",
+         "a7a605f8fc6c36d0c49d36ea5e881f8b491f1216344a701f85ecc5cdfc7ac28b"),
+    ], ids=["classify", "regress"])
+    def test_mlp_head_payload_is_its_buffer_and_pinned(self, tmp_path, task,
+                                                       digest):
+        latents, labels = blob_toy(seed=19)
+        if task == "regress":
+            labels = [H.DiagnosisLabel(lb.location, 1.0 + 0.1 * i)
+                      for i, lb in enumerate(labels)]
+        head, _ = H.fit_mlp_head(latents, labels,
+                                 H.HeadConfig(max_epochs=40, seed=3), task=task)
+        H.save_head(head, tmp_path / "head")
+        payload = (tmp_path / "head" / "params.bin").read_bytes()
+        assert payload == head.params.data.tobytes()
+        assert hashlib.sha256(payload).hexdigest() == digest
+        loaded = H.load_head(tmp_path / "head")
+        assert loaded.params.data.tobytes() == payload
 
     def test_forest_roundtrip(self, tmp_path):
         latents, labels = blob_toy(seed=17)
@@ -637,6 +660,26 @@ class TestForestTable:
         doc = json.loads((tmp_path / "f" / "forest.json").read_text())
         assert set(doc) == {"kind", "task", "n_features", "feature",
                             "threshold", "left", "right", "value", "roots"}
+
+    @pytest.mark.parametrize("task, variant", [
+        ("classify", {}), ("regress", {}), ("classify", {"max_depth": 0}),
+        ("regress", {"max_depth": 1}), ("classify", {"max_depth": 3}),
+        ("regress", {"tree_count": 1}), ("regress", {"rows": 8})],
+        ids=["classify", "regress", "classify-depth-0", "regress-depth-1",
+             "classify-depth-3", "regress-1-tree", "regress-8-rows"])
+    def test_descent_passes_are_the_deepest_leaf_depth(self, task, variant):
+        forest = variant_forest(task, **variant)
+        deepest, level = 0, [(root, 0) for root in forest.roots]
+        while level:  # one tree and one node at a time
+            node, depth = level.pop()
+            deepest = max(deepest, depth)
+            if forest.left[node] != node:
+                level += [(forest.left[node], depth + 1),
+                          (forest.right[node], depth + 1)]
+        assert forest._walk[2] == deepest
+        assert deepest <= variant.get("max_depth", 8)
+        if variant.get("max_depth") == 0:
+            assert deepest == 0
 
     @pytest.mark.parametrize("task", ["classify", "regress"])
     def test_depth_zero_forest_is_all_roots(self, task):

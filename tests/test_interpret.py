@@ -193,6 +193,29 @@ class TestKernelShap:
         assert res.residual < 1e-9
 
 
+def choice_coalitions(rng, d, count):
+    """The coalition sampler as it drew each size with Generator.choice."""
+    sizes = np.arange(1, d)
+    p = (d - 1) / (sizes * (d - sizes))
+    p = p / p.sum()
+    bits = np.zeros((count, d), dtype=bool)
+    for k in range(count):
+        s = int(rng.choice(sizes, p=p))
+        bits[k, rng.choice(d, size=s, replace=False)] = True
+    return bits
+
+
+class TestSampleCoalitions:
+    @pytest.mark.parametrize("d", [2, 3, 8, 32, 128])
+    def test_same_draws_as_generator_choice(self, d):
+        for seed in range(16):
+            got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+            got = I._sample_coalitions(got_rng, d, 64)
+            assert np.array_equal(got, choice_coalitions(want_rng, d, 64)), seed
+            # Both leave the stream at the same place.
+            assert got_rng.random() == want_rng.random()
+
+
 class TestLatentImportance:
     def test_uniform_attributions(self):
         phi = I.latent_importance(np.ones((3, 4)), np.ones((3, 4)))

@@ -1,6 +1,7 @@
 """Optimizer, loss, training-loop, and checkpoint tests."""
 
 import gc
+import hashlib
 import json
 from dataclasses import replace
 
@@ -69,26 +70,26 @@ class TestMseLoss:
 
 
 def fresh_scalar(value):
-    p = T.Parameter(np.array([[value]]), "w")
-    return {"w": p}, TR.NAdamState({"w": p})
+    params = T.Parameters({"w": np.array([[value]])})
+    return params, TR.NAdamState(params)
 
 
 class TestNAdam:
     def test_zero_grad_no_motion(self):
         params, state = fresh_scalar(1.0)
-        TR.nadam_step(params, {"w": np.zeros((1, 1))}, state, lr=1e-3)
+        TR.nadam_step(params, np.zeros(1), state, lr=1e-3)
         assert params["w"].data[0, 0] == 1.0
 
     def test_zero_lr_no_motion(self):
         params, state = fresh_scalar(2.5)
-        TR.nadam_step(params, {"w": np.array([[7.0]])}, state, lr=0.0)
+        TR.nadam_step(params, np.array([7.0]), state, lr=0.0)
         assert params["w"].data[0, 0] == 2.5
 
     def test_first_step_hand_oracle(self):
         # w = 1, f = w^2, g = 2. Mirror of the update formula in plain
         # python floats, evaluated independently of the implementation.
         params, state = fresh_scalar(1.0)
-        TR.nadam_step(params, {"w": np.array([[2.0]])}, state, lr=1e-3)
+        TR.nadam_step(params, np.array([2.0]), state, lr=1e-3)
 
         b1, b2, eps, psi = 0.9, 0.999, 1e-8, 4e-3
         g = 2.0
@@ -109,14 +110,13 @@ class TestNAdam:
         params, state = fresh_scalar(0.0)
         for _ in range(1000):
             w = params["w"].data[0, 0]
-            TR.nadam_step(params, {"w": np.array([[2.0 * (w - 3.0)]])}, state,
-                          lr=0.05)
+            TR.nadam_step(params, np.array([2.0 * (w - 3.0)]), state, lr=0.05)
         assert abs(params["w"].data[0, 0] - 3.0) < 1e-3
 
     def test_non_finite_gradient_names_parameter(self):
         params, state = fresh_scalar(1.0)
         with pytest.raises(FloatingPointError, match="w"):
-            TR.nadam_step(params, {"w": np.array([[np.nan]])}, state, lr=1e-3)
+            TR.nadam_step(params, np.array([np.nan]), state, lr=1e-3)
         assert state.t == 0
 
 
@@ -147,8 +147,8 @@ class TestBlockedNAdam:
 
     def fresh(self):
         rng = np.random.default_rng(61)
-        params = {k: T.Parameter(rng.normal(size=s), k)
-                  for k, s in self.SHAPES.items()}
+        params = T.Parameters({k: rng.normal(size=s)
+                                for k, s in self.SHAPES.items()})
         state = TR.NAdamState(params)
 
         def grads():
@@ -159,11 +159,14 @@ class TestBlockedNAdam:
         return params, state, grads
 
     @staticmethod
+    def flat(arrays):
+        """Per-name arrays laid out like the parameter buffer, by sorted name."""
+        return np.concatenate([arrays[k].ravel() for k in sorted(arrays)])
+
+    @staticmethod
     def snapshot(params, state):
         return ({k: p.data.tobytes() for k, p in params.items()},
-                {k: a.tobytes() for k, a in state.m.items()},
-                {k: a.tobytes() for k, a in state.v.items()},
-                state.t, state.mu_product)
+                state.m.tobytes(), state.v.tobytes(), state.t, state.mu_product)
 
     def test_matches_whole_array_update_bit_for_bit(self):
         params, state, grads = self.fresh()
@@ -173,21 +176,37 @@ class TestBlockedNAdam:
         t, mu_product = 0, 1.0
         for step in range(3):
             g = grads()
-            TR.nadam_step(params, g, state, lr=3e-3)
+            TR.nadam_step(params, self.flat(g), state, lr=3e-3)
             t, mu_product = whole_array_nadam(values, g, m, v, t, mu_product, 3e-3)
             assert self.snapshot(params, state) == (
                 {k: a.tobytes() for k, a in values.items()},
-                {k: a.tobytes() for k, a in m.items()},
-                {k: a.tobytes() for k, a in v.items()}, t, mu_product), step
+                self.flat(m).tobytes(), self.flat(v).tobytes(), t,
+                mu_product), step
 
     def test_non_finite_gradient_leaves_every_value_unchanged(self):
         params, state, grads = self.fresh()
-        TR.nadam_step(params, grads(), state, lr=3e-3)
+        TR.nadam_step(params, self.flat(grads()), state, lr=3e-3)
         before = self.snapshot(params, state)
         g = grads()
         g["over"][-1, 0] = np.nan
         with pytest.raises(FloatingPointError, match="over"):
-            TR.nadam_step(params, g, state, lr=3e-3)
+            TR.nadam_step(params, self.flat(g), state, lr=3e-3)
+        assert self.snapshot(params, state) == before
+
+    # The buffer holds block, one, over, under in that order: the first and
+    # last entries of the first, a middle and the last parameter.
+    @pytest.mark.parametrize("name, at, bad", [
+        ("block", (0,), np.nan), ("block", (-1,), np.inf),
+        ("one", (0,), -np.inf), ("over", (0, 0), np.nan),
+        ("under", (0,), np.inf), ("under", (-1,), np.nan)])
+    def test_non_finite_entry_names_its_parameter(self, name, at, bad):
+        params, state, grads = self.fresh()
+        before = self.snapshot(params, state)
+        g = grads()
+        g[name][at] = bad
+        with pytest.raises(FloatingPointError,
+                           match=f"non-finite gradient for parameter {name}$"):
+            TR.nadam_step(params, self.flat(g), state, lr=3e-3)
         assert self.snapshot(params, state) == before
 
 
@@ -295,6 +314,105 @@ class TestTrainLoop:
             TR.TrainConfig(curriculum=())
         with pytest.raises(ValueError):
             TR.TrainConfig(curriculum=((20.0, 1.5),))
+
+
+# sha256 of the payload of TR.save_checkpoint(DPAE(TINY, seed=4), ...),
+# recorded before the parameters lived in one buffer.
+TINY_PARAMS_BIN = "fd6e9866e6018c8d54cc54ae20af4bb6f5fbc389ad51d0b7867fb40c9d9a6d5f"
+
+
+def concatenating_save_params(params, dir_path, meta):
+    """The checkpoint writer before the flat buffer: one concatenation of
+    the parameters in sorted name order."""
+    dir_path.mkdir()
+    entries, chunks, offset = [], [], 0
+    for name in sorted(params):
+        arr = params[name].data
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.size
+        chunks.append(arr.reshape(-1))
+    (dir_path / "params.bin").write_bytes(
+        np.concatenate(chunks).astype("<f8").tobytes())
+    (dir_path / "manifest.json").write_text(json.dumps(
+        {"meta": meta, "parameters": entries, "total_size": offset}, indent=2))
+
+
+class TestParameterBuffer:
+    @staticmethod
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    def test_views_sit_in_the_buffers_at_the_manifest_offsets(self, tmp_path):
+        model = DPAE(TINY, seed=4)
+        P = model.params
+        TR.save_checkpoint(model, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [e["name"] for e in manifest["parameters"]] == list(P) \
+            == sorted(P)
+        assert manifest["total_size"] == P.data.size == P.grad.size
+        for e in manifest["parameters"]:
+            p = P[e["name"]]
+            assert list(p.data.shape) == list(p.grad.shape) == e["shape"]
+            for view, buf in ((p.data, P.data), (p.grad, P.grad)):
+                assert view.base is buf
+                assert self.address(view) == self.address(buf) + 8 * e["offset"]
+
+    def test_fresh_model_gradients_are_one_zeroed_buffer(self):
+        P = DPAE(TINY, seed=4).params
+        assert P.grad.ndim == 1 and P.grad.base is not P.data.base
+        assert not P.grad.any()
+        assert all(p.grad.base is P.grad for p in P.values())
+
+    def test_backward_and_zero_grads_act_on_the_buffer(self):
+        model = DPAE(TINY, seed=5)
+        x = tiny_dataset().samples[0].matrix
+        recon, _, _ = model.reconstruct(x)
+        T.backward(TR.mse_loss(x, recon))
+        assert np.array_equal(model.params.grad, np.concatenate(
+            [p.grad.ravel() for p in model.params.values()]))
+        assert model.params.grad.any()
+        T.zero_grads(model.params)
+        assert not any(p.grad.any() for p in model.params.values())
+
+    def test_params_bin_is_the_buffer_and_pinned(self, tmp_path):
+        model = DPAE(TINY, seed=4)
+        TR.save_checkpoint(model, tmp_path)
+        payload = (tmp_path / "params.bin").read_bytes()
+        assert payload == model.params.data.tobytes()
+        assert hashlib.sha256(payload).hexdigest() == TINY_PARAMS_BIN
+
+    def test_concatenated_checkpoint_loads_bit_exactly(self, tmp_path):
+        model = DPAE(TINY, seed=4)
+        model.params.data += np.random.default_rng(3).normal(
+            size=model.params.data.size)
+        TR.save_checkpoint(model, tmp_path / "new")
+        meta = json.loads((tmp_path / "new" / "manifest.json").read_text())
+        concatenating_save_params(model.params, tmp_path / "old", meta["meta"])
+        for name in ("params.bin", "manifest.json"):
+            assert (tmp_path / "old" / name).read_bytes() == \
+                (tmp_path / "new" / name).read_bytes()
+        loaded, _ = TR.load_checkpoint(tmp_path / "old")
+        assert loaded.params.data.tobytes() == model.params.data.tobytes()
+        for k, p in model.params.items():
+            assert loaded.params[k].data.tobytes() == p.data.tobytes()
+
+    @pytest.mark.parametrize("edit", ["shape", "name", "offset", "order"])
+    def test_manifest_not_matching_the_layout_rejected(self, tmp_path, edit):
+        TR.save_checkpoint(DPAE(TINY, seed=4), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        entries = doc["parameters"]
+        if edit == "shape":
+            entries[0]["shape"] = entries[0]["shape"][::-1] + [1]
+        elif edit == "name":
+            entries[1]["name"] += "_"
+        elif edit == "offset":
+            entries[1]["offset"] += 1
+        else:
+            entries[0], entries[1] = entries[1], entries[0]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(IOError, match="layout"):
+            TR.load_checkpoint(tmp_path)
 
 
 class TestCheckpoint:
