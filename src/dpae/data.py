@@ -415,9 +415,13 @@ def write_csv(path, header, rows, config=None):
 
 
 def read_csv(path):
-    """(header, rows) of string cells; ``#`` stamp lines are skipped."""
+    """(header, rows) of string cells; ``#`` stamp lines are skipped. A file
+    without a header row is an IOError."""
     with open(path, newline="") as fh:
-        header, *rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        try:
+            header, *rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        except (ValueError, csv.Error) as e:
+            raise IOError(f"{path} is not a CSV table: {e}") from None
     return header, rows
 
 
@@ -459,29 +463,30 @@ def save_dataset(dataset, out_dir, meta=None):
 
 
 def load_dataset(in_dir):
+    """A dataset written by `save_dataset`; a malformed one is an IOError."""
     manifest = read_json(os.path.join(in_dir, "manifest.json"))
     try:
         registry = tuple(
             ChannelSpec(**{**c, "response_template":
                            ResponseTemplate(c["response_template"])})
             for c in manifest["channels"])
+        samples, split = [], []
+        for entry in manifest["samples"]:
+            _, rows = read_csv(os.path.join(in_dir, entry["file"]))
+            samples.append(TransientSample(np.array(rows, dtype=float),
+                                           Location(entry["location"]),
+                                           float(entry["size_cm"])))
+            split.append(entry["split"])
+        norm = manifest["normalization"]
+        return Dataset(
+            samples=samples,
+            split=split,
+            seed=manifest["seed"],
+            registry=registry,
+            channel_min=None if norm is None else np.array(norm["min"]),
+            channel_max=None if norm is None else np.array(norm["max"]),
+            normalized=manifest["normalized"],
+        )
     except (KeyError, TypeError, ValueError) as e:
-        raise IOError(f"dataset at {in_dir} has a malformed channel block: "
-                      f"{e}") from None
-    samples, split = [], []
-    for entry in manifest["samples"]:
-        _, rows = read_csv(os.path.join(in_dir, entry["file"]))
-        samples.append(TransientSample(np.array(rows, dtype=float),
-                                       Location(entry["location"]),
-                                       entry["size_cm"]))
-        split.append(entry["split"])
-    norm = manifest["normalization"]
-    return Dataset(
-        samples=samples,
-        split=split,
-        seed=manifest["seed"],
-        registry=registry,
-        channel_min=None if norm is None else np.array(norm["min"]),
-        channel_max=None if norm is None else np.array(norm["max"]),
-        normalized=manifest["normalized"],
-    )
+        raise IOError(f"dataset at {in_dir} is malformed: "
+                      f"{type(e).__name__}: {e}") from None

@@ -123,17 +123,6 @@ def latent_head(cell, params):
     return dense(cell, params, "enc.latent.", 3)
 
 
-def run_encoder(xp_masked, params, profile, train_mode=False, rng=None):
-    """Patch rows -> (latent 1 x d, post-transformer class-token row 1 x D)."""
-    seq = preprocess(xp_masked, params)
-    for b in range(profile.depth_enc):
-        seq = transformer_block(seq, params, f"enc.block{b}", profile,
-                                train_mode, rng)
-    class_row = T.slice_rows(seq, 0, 1)
-    latent = latent_head(lstm_traverse(seq, params), params)
-    return latent, class_row
-
-
 def perturb_patches(x, snr_db, ratio_pad, grid, rng):
     """The one perturbation path: noise at snr_db, then patch masking.
 
@@ -144,7 +133,8 @@ def perturb_patches(x, snr_db, ratio_pad, grid, rng):
 
 
 def encode(x, perturb, params, profile, grid, train_mode=False, rng=None):
-    """Full monitoring matrix -> latent, with optional perturbation.
+    """Full monitoring matrix -> (latent 1 x d, post-transformer class-token
+    row 1 x D, patch row mask), with optional perturbation.
 
     ``perturb`` of None patchifies x directly with an empty mask; otherwise
     it is an (snr_db, ratio_pad) pair applied with ``rng`` before encoding.
@@ -154,5 +144,9 @@ def encode(x, perturb, params, profile, grid, train_mode=False, rng=None):
         mask = np.zeros(grid.N, dtype=bool)
     else:
         xp, mask = perturb_patches(x, *perturb, grid, rng)
-    latent, class_row = run_encoder(xp, params, profile, train_mode, rng)
-    return latent, class_row, mask
+    seq = preprocess(xp, params)
+    for b in range(profile.depth_enc):
+        seq = transformer_block(seq, params, f"enc.block{b}", profile,
+                                train_mode, rng)
+    class_row = T.slice_rows(seq, 0, 1)
+    return latent_head(lstm_traverse(seq, params), params), class_row, mask

@@ -18,8 +18,7 @@ import numpy as np
 from . import tensor as T
 from .data import Location, read_json, write_json
 from .encoder import dense, init_dense
-from .training import (NAdamState, load_params, nadam_step, restore_params,
-                       save_params)
+from .training import NAdamState, nadam_step, read_checkpoint, save_params
 
 # Fixed class order for location classification.
 CLASS_ORDER = (Location.COLD_LEG, Location.HOT_LEG)
@@ -409,7 +408,7 @@ def predict(head, x):
     if isinstance(head, MlpHead):
         out = _network_forward(head.params, head.widths, X)
         if head.task == "classify":
-            probs = T.softmax_rows(out).data
+            probs = T.softmax(out.data)
             return probs[0] if single else probs
         vals = out.data.reshape(-1)
         return float(vals[0]) if single else vals
@@ -482,11 +481,5 @@ def load_head(dir_path):
     forest_path = os.path.join(dir_path, "forest.json")
     if os.path.exists(forest_path):
         return _forest_from_doc(read_json(forest_path), forest_path)
-    meta, saved = load_params(dir_path)
-    if meta.get("kind") != "head":
-        raise IOError(f"checkpoint at {dir_path} is not a diagnosis head")
-    widths = tuple(meta["widths"])
-    # A fresh head declares the layout; restore_params overwrites its values.
-    params = T.Parameters(init_dense({}, "", widths, np.random.default_rng(0)))
-    restore_params(params, saved, dir_path)
-    return MlpHead(task=meta["task"], widths=widths, params=params)
+    params, meta = read_checkpoint(dir_path, "head")
+    return MlpHead(task=meta["task"], widths=tuple(meta["widths"]), params=params)

@@ -49,7 +49,6 @@ class ShapResult:
 class ImportanceReport:
     phi: np.ndarray            # latent importance, sums to 1
     omega: np.ndarray          # |delta latent| per (channel, region, element)
-    omega_signed: np.ndarray   # signed deltas, same layout
     heatmap: np.ndarray        # (channel, region)
     psi: np.ndarray            # per-channel importance
     ranking: list = field(default_factory=list)
@@ -141,12 +140,10 @@ def _sample_coalitions(rng, d, count):
 def _fit_constrained_wls(bits, weights, values, base, delta):
     """WLS fit of phi with the efficiency constraint sum(phi) = delta.
 
-    The last component is eliminated through the constraint; raises
-    LinAlgError when the reduced normal system is singular.
+    The last component is eliminated through the constraint, so d >= 2
+    (kernel_shap answers d = 1 without a fit); raises LinAlgError when the
+    reduced normal system is singular.
     """
-    d = bits.shape[1]
-    if d == 1:
-        return np.array([delta])
     Z = bits.astype(float)
     t = values - base - Z[:, -1] * delta
     A = Z[:, :-1] - Z[:, -1:]
@@ -270,7 +267,6 @@ def parameter_importance(model, samples, phi):
     l = model.profile.l
     d = phi.size
     omega = np.zeros((l, n_regions, d))
-    omega_signed = np.zeros((l, n_regions, d))
     for x in samples:
         x = np.asarray(x, dtype=float)
         z0 = model.latent_vector(x)
@@ -278,15 +274,12 @@ def parameter_importance(model, samples, phi):
             for n in range(n_regions):
                 ablated = x.copy()
                 ablated[n * h:(n + 1) * h, m] = 0.5
-                delta = model.latent_vector(ablated) - z0
-                omega[m, n] += np.abs(delta)
-                omega_signed[m, n] += delta
+                omega[m, n] += np.abs(model.latent_vector(ablated) - z0)
     omega /= len(samples)
-    omega_signed /= len(samples)
 
     heatmap, psi, ranking = psi_from_omega(omega, phi)
-    return ImportanceReport(phi=phi, omega=omega, omega_signed=omega_signed,
-                            heatmap=heatmap, psi=psi, ranking=ranking)
+    return ImportanceReport(phi=phi, omega=omega, heatmap=heatmap, psi=psi,
+                            ranking=ranking)
 
 
 def select_size_band(dataset, band=DEFAULT_SIZE_BAND, split=None):

@@ -79,9 +79,6 @@ class DPAE:
         self.params = T.Parameters({**init_encoder_params(profile, rng),
                                      **init_decoder_params(profile, rng)})
 
-    def parameter_count(self):
-        return self.params.data.size
-
     def encode(self, x, perturb=None, train_mode=False, rng=None):
         """x -> (latent, class row, mask); perturb is (snr_db, ratio_pad)."""
         return encode(x, perturb, self.params, self.profile, self.grid,

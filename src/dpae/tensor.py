@@ -262,29 +262,15 @@ def concat_rows(parts) -> Tensor:
     return out
 
 
-def _softmax(x):
+def softmax(x):
     """Softmax along the last axis, stabilized by subtracting the maximum."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_grad(y, g):
-    """The input gradient of y = _softmax(x): y_ij * (g_ij - sum_k g_ik y_ik)."""
+    """The input gradient of y = softmax(x): y_ij * (g_ij - sum_k g_ik y_ik)."""
     return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got shape {a.data.shape}")
-    y = _softmax(a.data)
-    out = Tensor(y, parents=(a,))
-
-    def backward(g):
-        _accum(a, _softmax_grad(y, g))
-
-    out._backward_fn = backward
-    return out
 
 
 def attention(qkv: Tensor, heads: int) -> Tensor:
@@ -304,7 +290,7 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
     factor = 1.0 / math.sqrt(dh)
     q, k, v = x.reshape(n, heads, 3, dh).transpose(2, 1, 0, 3)
     kt = np.ascontiguousarray(k.mT)
-    y = _softmax(q @ kt * factor)
+    y = softmax(q @ kt * factor)
     out = Tensor((y @ v).transpose(1, 0, 2).reshape(n, heads * dh), parents=(qkv,))
 
     def backward(grad):

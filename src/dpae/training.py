@@ -14,6 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import atomic_write, read_json, write_csv, write_json
+from .encoder import init_dense
 from .model import DPAE, ModelProfile
 
 DEFAULT_CURRICULUM = (
@@ -184,21 +185,41 @@ def save_params(params, dir_path, meta):
                 "total_size": params.data.size})
 
 
-def load_params(dir_path):
-    """Read back (manifest meta, (manifest layout, flat payload))."""
+def read_checkpoint(dir_path, kind):
+    """The model (kind "dpae") or head parameters (kind "head") a checkpoint's
+    meta declares, filled from its payload, and that meta.
+
+    A fresh build is the layout's only declaration: the manifest's entries and
+    the payload size must match it. A missing, ill-typed or mismatched field
+    is an IOError."""
     manifest = read_json(os.path.join(dir_path, "manifest.json"))
     with open(os.path.join(dir_path, "params.bin"), "rb") as fh:
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    return manifest["meta"], (manifest["parameters"], flat)
+        payload = fh.read()
+    try:
+        meta = manifest["meta"]
+        if meta["kind"] != kind:
+            raise ValueError(f"its kind is {meta['kind']!r}, not {kind!r}")
+        built = _build(kind, meta)
+        params = getattr(built, "params", built)
+        if manifest["parameters"] != params.layout \
+                or len(payload) != 8 * params.data.size:
+            raise ValueError(f"its parameter layout or payload size ({len(payload)} "
+                             f"bytes) does not match the {kind} its meta declares")
+    except (KeyError, TypeError, ValueError) as e:
+        raise IOError(f"checkpoint at {dir_path} is malformed: "
+                      f"{type(e).__name__}: {e}") from None
+    params.data[...] = np.frombuffer(payload, dtype="<f8")
+    return built, meta
 
 
-def restore_params(params, saved, dir_path):
-    """Fill fresh parameters' buffer from a checkpoint of the same layout."""
-    layout, flat = saved
-    if layout != params.layout or flat.size != params.data.size:
-        raise IOError(f"checkpoint at {dir_path}: its parameter layout or payload "
-                      f"size ({flat.size} values) does not match the model's")
-    params.data[...] = flat
+def _build(kind, meta):
+    if kind == "dpae":
+        prof = meta["profile"]
+        return DPAE(ModelProfile(**{**prof, "head_widths": tuple(prof["head_widths"])}),
+                    seed=meta["seed"])
+    if meta["task"] not in ("classify", "regress"):
+        raise ValueError(f"unknown head task {meta['task']!r}")
+    return T.Parameters(init_dense({}, "", meta["widths"], np.random.default_rng(0)))
 
 
 def save_checkpoint(model, dir_path, config=None, history=None):
@@ -219,16 +240,4 @@ def save_checkpoint(model, dir_path, config=None, history=None):
 
 def load_checkpoint(dir_path):
     """Rebuild the model from a checkpoint; values restore bit-exactly."""
-    meta, saved = load_params(dir_path)
-    if meta.get("kind") != "dpae":
-        raise IOError(f"checkpoint at {dir_path} is not an autoencoder checkpoint")
-    prof = meta["profile"]
-    try:
-        profile = ModelProfile(
-            **{**prof, "head_widths": tuple(prof["head_widths"])})
-    except (KeyError, TypeError, ValueError) as e:
-        raise IOError(f"checkpoint at {dir_path} has a malformed profile "
-                      f"block: {e}") from None
-    model = DPAE(profile, seed=meta["seed"])
-    restore_params(model.params, saved, dir_path)
-    return model, meta
+    return read_checkpoint(dir_path, "dpae")

@@ -386,6 +386,66 @@ class TestGradcheck:
         assert run_cli("gradcheck", "--scope", "full", "--seed", "3") == 0
 
 
+def edit_json(path, edit):
+    doc = read_json(path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def edit_lines(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+def replace_first(lines, old, new):
+    at = next(i for i, ln in enumerate(lines) if old in ln)
+    return lines[:at] + [lines[at].replace(old, new, 1)] + lines[at + 1:]
+
+
+CKPT = "run/checkpoint_final"
+# Artifacts of earlier stages, each broken in one way, and a command that
+# reads it: every one is an I/O error (exit 3).
+MALFORMED = {
+    "profile_p_not_divisible_by_m": ("extract-latents", lambda c: edit_json(
+        c / CKPT / "manifest.json",
+        lambda d: d["meta"]["profile"].update(p=d["meta"]["profile"]["p"] + 1))),
+    "checkpoint_without_meta": ("extract-latents", lambda c: edit_json(
+        c / CKPT / "manifest.json", lambda d: d.pop("meta"))),
+    "checkpoint_without_parameters": ("extract-latents", lambda c: edit_json(
+        c / CKPT / "manifest.json", lambda d: d.pop("parameters"))),
+    "payload_not_whole_floats": ("extract-latents", lambda c: (
+        c / CKPT / "params.bin").write_bytes(
+            (c / CKPT / "params.bin").read_bytes()[:-3])),
+    "head_width_is_text": ("evaluate", lambda c: edit_json(
+        c / "heads/mlp_cla/manifest.json",
+        lambda d: d["meta"]["widths"].__setitem__(1, "a"))),
+    "head_without_widths": ("evaluate", lambda c: edit_json(
+        c / "heads/mlp_cla/manifest.json", lambda d: d["meta"].pop("widths"))),
+    "head_task_bogus": ("evaluate", lambda c: edit_json(
+        c / "heads/mlp_reg/manifest.json",
+        lambda d: d["meta"].update(task="bogus"))),
+    "dataset_without_samples": ("extract-latents", lambda c: edit_json(
+        c / "data/manifest.json", lambda d: d.pop("samples"))),
+    "dataset_without_normalized": ("extract-latents", lambda c: edit_json(
+        c / "data/manifest.json", lambda d: d.pop("normalized"))),
+    "sample_location_middle": ("extract-latents", lambda c: edit_json(
+        c / "data/manifest.json",
+        lambda d: d["samples"][0].update(location="middle"))),
+    "sample_size_not_a_number": ("extract-latents", lambda c: edit_json(
+        c / "data/manifest.json",
+        lambda d: d["samples"][0].update(size_cm="x"))),
+    "sample_cell_not_a_number": ("extract-latents", lambda c: edit_lines(
+        c / "data/sample_0000.csv",
+        lambda lines: lines[:1] + ["x" + lines[1][lines[1].index(","):]]
+        + lines[2:])),
+    "latents_location_middle": ("train-heads", lambda c: edit_lines(
+        c / "lat/latents.csv",
+        lambda lines: replace_first(lines, ",cold_leg,", ",middle,"))),
+    "latents_empty": ("train-heads", lambda c: (
+        c / "lat/latents.csv").write_text("")),
+}
+
+
 class TestExitCodesAndLocking:
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli("frobnicate") == 1
@@ -462,6 +522,26 @@ class TestExitCodesAndLocking:
         assert run_cli(*argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("i/o error:") and str(path) in err
+
+    @pytest.mark.parametrize("command, edit", MALFORMED.values(),
+                             ids=MALFORMED.keys())
+    def test_malformed_artifact_is_io_error(self, ws, tmp_path, capsys,
+                                            command, edit):
+        copy = tmp_path / "ws"
+        for name in ("data", "run", "lat", "heads"):
+            shutil.copytree(ws.root / name, copy / name)
+        edit(copy)
+        argv = [command, "--data", str(copy / "data"),
+                "--out", str(tmp_path / "out"), "--seed", SEED]
+        if command == "train-heads":
+            argv += ["--latents", str(copy / "lat" / "latents.csv"),
+                     "--head", "mlp"]
+        else:
+            argv += ["--model", str(copy / "run" / "checkpoint_final")]
+        if command == "evaluate":
+            argv += ["--heads", str(copy / "heads")]
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
 
     def test_malformed_band_is_usage_error(self, ws, tmp_path):
         for band in ("abc", "14,6"):

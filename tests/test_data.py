@@ -345,6 +345,13 @@ class TestArtifactLayer:
         with pytest.raises(OSError, match="cut.json"):
             D.read_json(path)
 
+    def test_csv_without_header_is_io_error(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        for text in ("", "# config={}\n"):
+            path.write_text(text)
+            with pytest.raises(OSError, match="empty.csv"):
+                D.read_csv(path)
+
 
 def test_only_the_artifact_layer_reads_and_writes_json_and_csv():
     """Every json/csv call in src/dpae goes through dpae.data; the user's

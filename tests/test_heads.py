@@ -363,11 +363,30 @@ class TestPersistence:
         def widen(doc):
             doc["meta"]["widths"][1] += 1
 
-        for edit in (drop_w2, widen):
+        def text_width(doc):
+            doc["meta"]["widths"][1] = "a"
+
+        def no_widths(doc):
+            del doc["meta"]["widths"]
+
+        def bogus_task(doc):
+            doc["meta"]["task"] = "bogus"
+
+        def no_meta(doc):
+            del doc["meta"]
+
+        def no_parameters(doc):
+            del doc["parameters"]
+
+        def dpae_kind(doc):
+            doc["meta"]["kind"] = "dpae"
+
+        for edit in (drop_w2, widen, text_width, no_widths, bogus_task, no_meta,
+                     no_parameters, dpae_kind):
             doc = json.loads(json.dumps(saved))
             edit(doc)
             manifest.write_text(json.dumps(doc))
-            with pytest.raises(IOError):
+            with pytest.raises(IOError, match="malformed"):
                 H.load_head(tmp_path / "head")
 
     MALFORMED = {

@@ -314,15 +314,6 @@ class TestParameterImportance:
         rev = I.parameter_importance(model, samples[::-1], phi)
         np.testing.assert_allclose(rev.psi, rep.psi, atol=1e-12)
 
-    def test_omega_signed_consistency(self):
-        model = DPAE(TINY, seed=22)
-        rng = np.random.default_rng(23)
-        samples = [rng.uniform(0.0, 1.0, size=(TINY.p, TINY.l))]
-        phi = np.full(TINY.latent_dim, 1.0 / TINY.latent_dim)
-        rep = I.parameter_importance(model, samples, phi)
-        np.testing.assert_allclose(np.abs(rep.omega_signed), rep.omega,
-                                   atol=1e-15)
-
     def test_empty_samples_rejected(self):
         model = DPAE(TINY, seed=24)
         with pytest.raises(ValueError):
@@ -364,7 +355,6 @@ class TestReportSerialization:
         report = I.ImportanceReport(
             phi=np.array([0.6, 0.4]),
             omega=np.ones((2, 3, 2)),
-            omega_signed=np.ones((2, 3, 2)),
             heatmap=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
             psi=np.array([6.0, 15.0]),
             ranking=[1, 0],

@@ -46,31 +46,38 @@ class TestMatmul:
 
 
 class TestSoftmaxRows:
+    """`softmax` along the last axis, which attention and MLP heads share."""
+
     def test_equal_values_give_uniform(self):
-        out = T.softmax_rows(T.Tensor(np.full((2, 5), 3.7)))
-        np.testing.assert_allclose(out.data, np.full((2, 5), 0.2), atol=1e-15)
+        out = T.softmax(np.full((2, 5), 3.7))
+        np.testing.assert_allclose(out, np.full((2, 5), 0.2), atol=1e-15)
 
     def test_closed_form(self):
-        out = T.softmax_rows(T.Tensor([[0.0, np.log(3.0)]]))
-        np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-12)
+        out = T.softmax(np.array([[0.0, np.log(3.0)]]))
+        np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-12)
 
     def test_no_overflow_on_large_logits(self):
-        out = T.softmax_rows(T.Tensor([[1000.0, 0.0]]))
-        assert np.isfinite(out.data).all()
-        np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-12)
+        out = T.softmax(np.array([[1000.0, 0.0]]))
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (3, 4), elements=st.floats(-50, 50)))
     def test_rows_sum_to_one(self, x):
-        out = T.softmax_rows(T.Tensor(x))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(T.softmax(x).sum(axis=1), 1.0, atol=1e-12)
 
     def test_gradient(self):
-        x = T.Parameter(rand((3, 5), seed=4), "x")
-        w = T.Tensor(rand((3, 5), seed=5))
-        err = T.grad_check(
-            lambda: T.mean_all(T.square(T.sub(T.softmax_rows(x), w))), [x])
-        assert err <= 1e-7
+        # The input gradient attention's backward takes through its softmax,
+        # against central differences of sum(g * softmax(x)).
+        x, g, eps = rand((3, 5), seed=4), rand((3, 5), seed=5), 1e-5
+        fd = np.zeros_like(x)
+        for i in np.ndindex(x.shape):
+            step = np.zeros_like(x)
+            step[i] = eps
+            fd[i] = np.sum(g * (T.softmax(x + step) - T.softmax(x - step))) \
+                / (2.0 * eps)
+        np.testing.assert_allclose(T._softmax_grad(T.softmax(x), g), fd,
+                                   rtol=1e-7, atol=1e-10)
 
 
 class TestLayerNorm:
@@ -499,7 +506,6 @@ def test_forward_values_stay_finite_on_finite_inputs():
     x = T.Tensor(rng.uniform(-0.5, 1.5, (6, 8)))
     qkv = T.Tensor(rng.uniform(-0.5, 1.5, (6, 12)))
     outs = [
-        T.softmax_rows(x),
         T.layer_norm(x, T.Tensor(np.ones(8)), T.Tensor(np.zeros(8))),
         T.gelu(x),
         T.attention(qkv, 2),

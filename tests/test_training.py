@@ -479,10 +479,26 @@ class TestCheckpoint:
         with pytest.raises(IOError):
             TR.load_checkpoint(tmp_path / "ck")
 
-        TR.save_checkpoint(model, tmp_path / "extra")
-        manifest = tmp_path / "extra" / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["meta"]["profile"]["bogus"] = 1
-        manifest.write_text(json.dumps(doc))
-        with pytest.raises(IOError):
-            TR.load_checkpoint(tmp_path / "extra")
+        TR.save_checkpoint(model, tmp_path / "cut")
+        with open(tmp_path / "cut" / "params.bin", "r+b") as fh:
+            fh.truncate(8 * model.params.data.size - 3)
+        with pytest.raises(IOError, match="payload size"):
+            TR.load_checkpoint(tmp_path / "cut")
+
+        edits = {
+            "extra_profile_field": lambda doc: doc["meta"]["profile"].update(
+                bogus=1),
+            "p_not_divisible_by_m": lambda doc: doc["meta"]["profile"].update(
+                p=TINY.p + 1),
+            "no_meta": lambda doc: doc.pop("meta"),
+            "no_parameters": lambda doc: doc.pop("parameters"),
+            "head_kind": lambda doc: doc["meta"].update(kind="head"),
+        }
+        for name, edit in edits.items():
+            TR.save_checkpoint(model, tmp_path / name)
+            manifest = tmp_path / name / "manifest.json"
+            doc = json.loads(manifest.read_text())
+            edit(doc)
+            manifest.write_text(json.dumps(doc))
+            with pytest.raises(IOError, match="malformed"):
+                TR.load_checkpoint(tmp_path / name)

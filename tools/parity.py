@@ -1,0 +1,133 @@
+"""Parent parity for the desk command-line chain: a sha256 per artifact.
+
+    python3 tools/parity.py run --out M.json [--repo DIR]
+    python3 tools/parity.py compare A.json B.json
+
+`run` runs a fixed desk chain (gen-data with 12 samples, train-dpae for 2
+epochs, reconstruct --passthrough, extract-latents with and without --clean,
+train-heads --head all, evaluate, explain --band 0.1,100 --coalitions 64 and
+gradcheck --scope all, all at seed 0) in a temporary directory, with the
+`dpae` package from DIR/src; DIR defaults to the tree this script is in. It
+writes the sha256 of every file the chain leaves, by path relative to that
+directory, and the text gradcheck prints. BLAS runs on one thread.
+
+`compare` prints every file that differs or is missing on one side, and the
+lines of the gradcheck output that differ; it exits 1 if there is any.
+
+To check a change against its parent commit, run `run` on a copy of each
+tree (for example `git worktree add ../parent HEAD~1`, then `--repo
+../parent`) and compare the two files.
+"""
+
+import argparse
+import difflib
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CKPT = "run/checkpoint_final"
+SEED = "0"
+
+CHAIN = (
+    ("gen-data", "--out", "data", "--count", "12", "--scale", "desk"),
+    ("train-dpae", "--data", "data", "--out", "run", "--scale", "desk",
+     "--epochs", "2"),
+    ("reconstruct", "--model", CKPT, "--data", "data", "--out", "rec",
+     "--passthrough"),
+    ("extract-latents", "--model", CKPT, "--data", "data", "--out", "lat"),
+    ("extract-latents", "--model", CKPT, "--data", "data", "--out",
+     "lat_clean", "--clean"),
+    ("train-heads", "--latents", "lat/latents.csv", "--data", "data",
+     "--out", "heads", "--head", "all"),
+    ("evaluate", "--model", CKPT, "--data", "data", "--heads", "heads",
+     "--out", "eval"),
+    ("explain", "--model", CKPT, "--data", "data", "--heads", "heads",
+     "--out", "exp", "--band", "0.1,100", "--coalitions", "64"),
+    ("gradcheck", "--scope", "all", "--out", "grad"),
+)
+
+
+def run_chain(repo):
+    """{"files": {relative path: sha256}, "gradcheck_stdout": text}."""
+    env = {k: v for k, v in os.environ.items() if k != "DPAE_OUTPUT_ROOT"}
+    env["PYTHONPATH"] = os.path.join(os.path.abspath(repo), "src")
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory(prefix="dpae-parity-") as work:
+        for argv in CHAIN:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dpae.cli", *argv, "--seed", SEED],
+                cwd=work, env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                sys.exit(f"{argv[0]} exited {proc.returncode}:\n{proc.stderr}")
+        files = {}
+        for root, _, names in os.walk(work):
+            for name in names:
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                files[os.path.relpath(path, work)] = digest
+    return {"files": dict(sorted(files.items())),
+            "gradcheck_stdout": proc.stdout}
+
+
+def compare(a, b):
+    """Lines that name each file differing or missing on one side, then the
+    gradcheck output lines that differ."""
+    lines = []
+    for path in sorted(a["files"].keys() | b["files"].keys()):
+        if path not in b["files"]:
+            lines.append(f"only in A: {path}")
+        elif path not in a["files"]:
+            lines.append(f"only in B: {path}")
+        elif a["files"][path] != b["files"][path]:
+            lines.append(f"differs: {path}")
+    if a["gradcheck_stdout"] != b["gradcheck_stdout"]:
+        lines.append("differs: gradcheck stdout")
+        lines += difflib.unified_diff(
+            a["gradcheck_stdout"].splitlines(),
+            b["gradcheck_stdout"].splitlines(), "A", "B", lineterm="")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    p = sub.add_parser("run", help="run the desk chain and hash its files")
+    p.add_argument("--out", required=True)
+    p.add_argument("--repo", default=HERE,
+                   help="tree whose src/ to run (default: this one)")
+    p = sub.add_parser("compare", help="list the files two runs disagree on")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+
+    if args.mode == "run":
+        record = run_chain(args.repo)
+        with open(args.out, "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        print(f"hashed {len(record['files'])} files into {args.out}")
+        return 0
+    docs = []
+    for path in (args.a, args.b):
+        with open(path) as fh:
+            docs.append(json.load(fh))
+    lines = compare(*docs)
+    for line in lines:
+        print(line)
+    a, b = (doc["files"] for doc in docs)
+    same = sum(a[path] == b.get(path) for path in a)
+    stdout = "identical" if docs[0]["gradcheck_stdout"] == \
+        docs[1]["gradcheck_stdout"] else "different"
+    print(f"{same} of {len(a.keys() | b.keys())} files identical; "
+          f"gradcheck stdout {stdout}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
