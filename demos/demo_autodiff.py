@@ -15,6 +15,7 @@ import numpy as np
 
 from dpae import tensor as T
 from dpae import training as TR
+from dpae.data import patchify
 from dpae.model import DPAE, ModelProfile
 
 
@@ -78,9 +79,10 @@ def full_composition(seed):
                            head_widths=(4, 4))
     model = DPAE(profile, seed=seed)
     x = np.random.default_rng(seed + 1).uniform(size=(12, 2))
+    xp = patchify(x, model.grid)  # the encoder takes N x D patches
 
     def f():
-        recon, _, _ = model.reconstruct(x)
+        recon, _ = model.reconstruct(xp)
         return TR.mse_loss(x, recon)
 
     err = T.grad_check(f, model.params, eps=1e-5, entries_per_param=2,

@@ -80,9 +80,10 @@ def main():
             x = ds.samples[i].matrix
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, 40, i)))
-            xp = perturb(x, snr_db, ratio_pad, model.grid, rng)
-            recon, _, _ = model.reconstruct(xp)
-            report = M.reconstruction_report(x, xp, recon.data)
+            xp, _ = perturb_patches(x, snr_db, ratio_pad, model.grid, rng)
+            recon, _ = model.reconstruct(xp)
+            report = M.reconstruction_report(
+                x, D.unpatchify(xp, model.grid), recon.data)
             ratios.append(report["improvement_ratio"])
         print(f"   snr {snr_db:.0f} dB, {ratio_pad:.0%} masked: "
               f"mean improvement ratio {np.mean(ratios):.2f} "

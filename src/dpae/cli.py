@@ -103,10 +103,9 @@ def _stamp(cfg, command, extra=None):
 # shared loading helpers
 
 def _perturbed(cfg, tag, index, x, grid):
-    """Sample `index`'s perturbation in seed stream `tag`: p x l matrix, mask."""
+    """Sample `index`'s perturbation in seed stream `tag`: N x D patches, row mask."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, index)))
-    patches, mask = perturb_patches(x, cfg.snr_db, cfg.ratio_pad, grid, rng)
-    return D.unpatchify(patches, grid), mask
+    return perturb_patches(x, cfg.snr_db, cfg.ratio_pad, grid, rng)
 
 
 def _inputs(cfg, tag, dataset, idx, grid):
@@ -116,7 +115,7 @@ def _inputs(cfg, tag, dataset, idx, grid):
     for i in idx:
         s = dataset.samples[i]
         mats.append(s.matrix if tag is None else
-                    _perturbed(cfg, tag, i, s.matrix, grid)[0])
+                    D.unpatchify(_perturbed(cfg, tag, i, s.matrix, grid)[0], grid))
         labels.append(H.DiagnosisLabel(s.location, s.size_cm))
     return mats, labels
 
@@ -132,13 +131,18 @@ def _read_latents_csv(path):
     return Z, labels
 
 
-_HEAD_DIRS = ("mlp_cla", "mlp_reg", "forest_cla", "forest_reg",
-              "e2e_cla", "e2e_reg")
+# (directory, fit, task) of every head; a head's seed offset is its 1-based place.
+_HEADS = (("mlp_cla", H.fit_mlp_head, "classify"),
+          ("mlp_reg", H.fit_mlp_head, "regress"),
+          ("forest_cla", H.fit_random_forest, "classify"),
+          ("forest_reg", H.fit_random_forest, "regress"),
+          ("e2e_cla", H.fit_end_to_end, "classify"),
+          ("e2e_reg", H.fit_end_to_end, "regress"))
 
 
 def _load_heads(heads_dir):
     found = {}
-    for name in _HEAD_DIRS:
+    for name, _, _ in _HEADS:
         path = os.path.join(heads_dir, name)
         if os.path.isdir(path):
             found[name] = H.load_head(path)
@@ -207,11 +211,12 @@ def cmd_reconstruct(args):
     names = [c.node_name for c in dataset.registry]
 
     if args.passthrough:
-        x_pert = x.copy()
+        xp = D.patchify(x, model.grid)
         mask = np.zeros(model.grid.N, dtype=bool)
     else:
-        x_pert, mask = _perturbed(cfg, _TAG_RECON, args.index, x, model.grid)
-    recon = model.reconstruct(x_pert)[0].data
+        xp, mask = _perturbed(cfg, _TAG_RECON, args.index, x, model.grid)
+    x_pert = D.unpatchify(xp, model.grid)
+    recon = model.reconstruct(xp)[0].data
     report = M.reconstruction_report(x, x_pert, recon)
 
     stamp = _stamp(cfg, "reconstruct", {
@@ -262,16 +267,14 @@ def cmd_extract_latents(args):
     return 0
 
 
-def _head_config(cfg, kind, offset):
-    return H.HeadConfig(kind=kind, seed=_sub_seed(cfg.seed, _TAG_HEAD, offset),
-                        **cfg.heads)
-
-
 def cmd_train_heads(args):
     cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
                          ratio_pad=args.pad)
-    wanted = ("mlp", "forest", "e2e") if args.head == "all" else (args.head,)
-    if ("mlp" in wanted or "forest" in wanted) and not args.latents:
+    jobs = [(offset, name, fit, task)
+            for offset, (name, fit, task) in enumerate(_HEADS, 1)
+            if args.head in ("all", name.split("_")[0])]
+    on_latents = [not name.startswith("e2e") for _, name, _, _ in jobs]
+    if any(on_latents) and not args.latents:
         raise UsageError("--latents is required for mlp/forest heads")
     if not args.data:
         raise UsageError("--data is required to recover the train split")
@@ -281,38 +284,20 @@ def cmd_train_heads(args):
     reports = {}
 
     with _OutDir(args.out) as out:
-        if "mlp" in wanted or "forest" in wanted:
+        if any(on_latents):
             Z, labels = _read_latents_csv(args.latents)
             if len(labels) != len(dataset.samples):
                 raise UsageError("latents row count does not match dataset")
-            Zt = [Z[i] for i in train_idx]
-            yt = [labels[i] for i in train_idx]
-            jobs = []
-            if "mlp" in wanted:
-                jobs += [("mlp_cla", H.fit_mlp_head, "classify", 1),
-                         ("mlp_reg", H.fit_mlp_head, "regress", 2)]
-            if "forest" in wanted:
-                jobs += [("forest_cla", H.fit_random_forest, "classify", 3),
-                         ("forest_reg", H.fit_random_forest, "regress", 4)]
-            for name, fit, task, offset in jobs:
-                kind = "random_forest" if fit is H.fit_random_forest else "mlp"
-                head, report = fit(Zt, yt, config=_head_config(cfg, kind,
-                                                               offset),
-                                   task=task)
-                H.save_head(head, os.path.join(out, name))
-                reports[name] = report
-
-        if "e2e" in wanted:
-            mats, labels_e2e = _inputs(cfg, _TAG_LATENTS, dataset, train_idx,
-                                       cfg.profile().grid())
-            for name, task, offset in (("e2e_cla", "classify", 5),
-                                       ("e2e_reg", "regress", 6)):
-                head, report = H.fit_end_to_end(
-                    mats, labels_e2e,
-                    config=_head_config(cfg, "end_to_end_mlp", offset),
-                    task=task)
-                H.save_head(head, os.path.join(out, name))
-                reports[name] = report
+            by_latents = ([Z[i] for i in train_idx], [labels[i] for i in train_idx])
+        if not all(on_latents):
+            by_matrices = _inputs(cfg, _TAG_LATENTS, dataset, train_idx,
+                                  cfg.profile().grid())
+        for (offset, name, fit, task), latent in zip(jobs, on_latents):
+            config = H.HeadConfig(seed=_sub_seed(cfg.seed, _TAG_HEAD, offset),
+                                  **cfg.heads)
+            head, reports[name] = fit(*(by_latents if latent else by_matrices),
+                                      config=config, task=task)
+            H.save_head(head, os.path.join(out, name))
 
         D.write_json(os.path.join(out, "fit_reports.json"), {
             **_stamp(cfg, "train-heads", {"heads": sorted(reports)}),
@@ -521,11 +506,12 @@ def _gradcheck_model(seed, scope):
     model = DPAE(_GRADCHECK_TOY, seed=seed)
     rng = np.random.default_rng(seed + (1 if scope == "encoder" else 2))
     x = rng.uniform(0.0, 1.0, size=(_GRADCHECK_TOY.p, _GRADCHECK_TOY.l))
+    xp = D.patchify(x, model.grid)
     if scope == "encoder":
         return ("encoder_latent_mse",
-                lambda: T.mean_all(T.square(model.encode(x)[0])), model.params)
+                lambda: T.mean_all(T.square(model.encode(xp)[0])), model.params)
     return ("encode_decode_mse",
-            lambda: TR.mse_loss(x, model.reconstruct(x)[0]), model.params)
+            lambda: TR.mse_loss(x, model.reconstruct(xp)[0]), model.params)
 
 
 def cmd_gradcheck(args):

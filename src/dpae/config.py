@@ -22,7 +22,7 @@ SCALE_PRESETS = {
 }
 
 # Each free-form section feeds one dataclass, minus the fields the command
-# line sets itself.
+# line sets itself and HeadConfig.kind, which nothing reads.
 SECTIONS = {
     "train": (TrainConfig, {"epochs", "seed"}),
     "heads": (HeadConfig, {"kind", "seed"}),

@@ -473,9 +473,11 @@ def load_dataset(in_dir):
         samples, split = [], []
         for entry in manifest["samples"]:
             _, rows = read_csv(os.path.join(in_dir, entry["file"]))
+            size_cm = float(entry["size_cm"])
+            if not size_cm > 0.0:
+                raise ValueError(f"{entry['file']} has size_cm {size_cm}, not positive")
             samples.append(TransientSample(np.array(rows, dtype=float),
-                                           Location(entry["location"]),
-                                           float(entry["size_cm"])))
+                                           Location(entry["location"]), size_cm))
             split.append(entry["split"])
         norm = manifest["normalization"]
         return Dataset(

@@ -44,8 +44,8 @@ def expand_latent(latent, params, profile):
     return T.reshape(z, (profile.N, profile.D))
 
 
-def decode(latent, class_row, params, profile, grid, pe_table,
-           train_mode=False, rng=None):
+def decode(latent, class_row, params, profile, pe_table, train_mode=False,
+           rng=None):
     """(latent, encoded class token) -> reconstructed p x l matrix."""
     xp = expand_latent(latent, params, profile)
     seq = T.concat_rows([class_row, xp])
@@ -54,5 +54,4 @@ def decode(latent, class_row, params, profile, grid, pe_table,
         seq = transformer_block(seq, params, f"dec.block{b}", profile,
                                 train_mode, rng)
     patches = T.slice_rows(seq, 1, profile.N + 1)
-    l = grid.N // grid.m
-    return T.transpose(T.reshape(patches, (l, grid.m * grid.D)))
+    return T.transpose(T.reshape(patches, (profile.l, profile.p)))

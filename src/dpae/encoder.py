@@ -132,21 +132,10 @@ def perturb_patches(x, snr_db, ratio_pad, grid, rng):
     return mask_patches(patchify(add_noise(x, snr_db, rng), grid), ratio_pad, rng)
 
 
-def encode(x, perturb, params, profile, grid, train_mode=False, rng=None):
-    """Full monitoring matrix -> (latent 1 x d, post-transformer class-token
-    row 1 x D, patch row mask), with optional perturbation.
-
-    ``perturb`` of None patchifies x directly with an empty mask; otherwise
-    it is an (snr_db, ratio_pad) pair applied with ``rng`` before encoding.
-    """
-    if perturb is None:
-        xp = patchify(x, grid)
-        mask = np.zeros(grid.N, dtype=bool)
-    else:
-        xp, mask = perturb_patches(x, *perturb, grid, rng)
+def encode(xp, params, profile, train_mode=False, rng=None):
+    """N x D patches -> (latent 1 x d, post-transformer class-token row 1 x D)."""
     seq = preprocess(xp, params)
     for b in range(profile.depth_enc):
         seq = transformer_block(seq, params, f"enc.block{b}", profile,
                                 train_mode, rng)
-    class_row = T.slice_rows(seq, 0, 1)
-    return latent_head(lstm_traverse(seq, params), params), class_row, mask
+    return latent_head(lstm_traverse(seq, params), params), T.slice_rows(seq, 0, 1)

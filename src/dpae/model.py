@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import PatchGrid
+from .data import PatchGrid, patchify
 from .decoder import compute_pe, decode, init_decoder_params
 from .encoder import encode, init_encoder_params
 
@@ -79,22 +79,19 @@ class DPAE:
         self.params = T.Parameters({**init_encoder_params(profile, rng),
                                      **init_decoder_params(profile, rng)})
 
-    def encode(self, x, perturb=None, train_mode=False, rng=None):
-        """x -> (latent, class row, mask); perturb is (snr_db, ratio_pad)."""
-        return encode(x, perturb, self.params, self.profile, self.grid,
-                      train_mode, rng)
+    def encode(self, xp, train_mode=False, rng=None):
+        """N x D patches -> (latent, class row)."""
+        return encode(xp, self.params, self.profile, train_mode, rng)
 
     def decode(self, latent, class_row, train_mode=False, rng=None):
-        return decode(latent, class_row, self.params, self.profile, self.grid,
+        return decode(latent, class_row, self.params, self.profile,
                       self.pe_table, train_mode, rng)
 
-    def reconstruct(self, x, perturb=None, train_mode=False, rng=None):
-        """x -> (reconstruction Tensor p x l, latent, mask)."""
-        latent, class_row, mask = self.encode(x, perturb, train_mode, rng)
-        recon = self.decode(latent, class_row, train_mode, rng)
-        return recon, latent, mask
+    def reconstruct(self, xp, train_mode=False, rng=None):
+        """N x D patches -> (reconstruction Tensor p x l, latent)."""
+        latent, class_row = self.encode(xp, train_mode, rng)
+        return self.decode(latent, class_row, train_mode, rng), latent
 
     def latent_vector(self, x):
-        """Eval-mode latent of an unperturbed x as a flat ndarray of length d."""
-        latent, _, _ = self.encode(x)
-        return latent.data.reshape(-1).copy()
+        """Eval-mode latent of a p x l matrix as a flat ndarray of length d."""
+        return self.encode(patchify(x, self.grid))[0].data.reshape(-1).copy()

@@ -121,14 +121,12 @@ def _accum(node: Tensor, g: np.ndarray):
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data, parents=(a, b))
 
     def backward(g):
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
 
-    out._backward_fn = backward
-    return out
+    return Tensor(a.data @ b.data, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -142,107 +140,82 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
     if a.data.shape != b.data.shape and not bias_row:
         raise ShapeError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
-    out = Tensor(a.data + b.data, parents=(a, b))
 
-    if bias_row:
+    def backward(g):
+        _accum(a, g)
+        _accum(b, g.sum(axis=0, keepdims=True) if bias_row else g)
 
-        def backward(g):
-            _accum(a, g)
-            _accum(b, g.sum(axis=0, keepdims=True))
-
-    else:
-
-        def backward(g):
-            _accum(a, g)
-            _accum(b, g)
-
-    out._backward_fn = backward
-    return out
+    return Tensor(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub shape mismatch: {a.data.shape} - {b.data.shape}")
-    out = Tensor(a.data - b.data, parents=(a, b))
 
     def backward(g):
         _accum(a, g)
         _accum(b, -g)
 
-    out._backward_fn = backward
-    return out
+    return Tensor(a.data - b.data, (a, b), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x), with the erf formulation."""
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = Tensor(x * cdf, parents=(a,))
 
     def backward(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
         _accum(a, g * (cdf + x * pdf))
 
-    out._backward_fn = backward
-    return out
+    return Tensor(x * cdf, (a,), backward)
 
 
 def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data, parents=(a,))
-
     def backward(g):
         _accum(a, 2.0 * g * a.data)
 
-    out._backward_fn = backward
-    return out
+    return Tensor(a.data * a.data, (a,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
-    out = Tensor(np.array(a.data.mean()), parents=(a,))
 
     def backward(g):
         _accum(a, np.full_like(a.data, float(g) / n))
 
-    out._backward_fn = backward
-    return out
+    return Tensor(np.array(a.data.mean()), (a,), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
-    out = Tensor(a.data.T, parents=(a,))
 
     def backward(g):
         _accum(a, g.T)
 
-    out._backward_fn = backward
-    return out
+    return Tensor(a.data.T, (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    out = Tensor(a.data.reshape(shape), parents=(a,))
 
     def backward(g):
         _accum(a, g.reshape(a.data.shape))
 
-    out._backward_fn = backward
-    return out
+    return Tensor(a.data.reshape(shape), (a,), backward)
 
 
 def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
     if a.data.ndim != 2 or not (0 <= i0 < i1 <= a.data.shape[0]):
         raise ShapeError(f"slice_rows [{i0}:{i1}] invalid for shape {a.data.shape}")
-    out = Tensor(a.data[i0:i1], parents=(a,))
 
     def backward(g):
         full = np.zeros_like(a.data)
         full[i0:i1] = g
         _accum(a, full)
 
-    out._backward_fn = backward
-    return out
+    return Tensor(a.data[i0:i1], (a,), backward)
 
 
 def concat_rows(parts) -> Tensor:
@@ -251,15 +224,13 @@ def concat_rows(parts) -> Tensor:
     for p in parts:
         if p.data.ndim != 2 or p.data.shape[1] != cols:
             raise ShapeError(f"concat_rows column mismatch: {[q.data.shape for q in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0), parents=parts)
     offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             _accum(p, g[lo:hi])
 
-    out._backward_fn = backward
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=0), parts, backward)
 
 
 def softmax(x):
@@ -291,7 +262,6 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
     q, k, v = x.reshape(n, heads, 3, dh).transpose(2, 1, 0, 3)
     kt = np.ascontiguousarray(k.mT)
     y = softmax(q @ kt * factor)
-    out = Tensor((y @ v).transpose(1, 0, 2).reshape(n, heads * dh), parents=(qkv,))
 
     def backward(grad):
         g = grad.reshape(n, heads, dh).transpose(1, 0, 2)
@@ -303,8 +273,8 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
         dv[...] = y.mT @ g
         _accum(qkv, dqkv.reshape(n, 3 * heads * dh))
 
-    out._backward_fn = backward
-    return out
+    return Tensor((y @ v).transpose(1, 0, 2).reshape(n, heads * dh), (qkv,),
+                  backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
@@ -324,7 +294,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
     var = x.data.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gvec + bvec, parents=(x, gain, bias))
 
     def backward(g):
         gg = g * gvec  # dL/dxhat
@@ -334,8 +303,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
         _accum(gain, (g * xhat).sum(axis=0).reshape(gain.data.shape))
         _accum(bias, g.sum(axis=0).reshape(bias.data.shape))
 
-    out._backward_fn = backward
-    return out
+    return Tensor(xhat * gvec + bvec, (x, gain, bias), backward)
 
 
 def dropout(a: Tensor, rate: float, train: bool, rng=None) -> Tensor:
@@ -345,13 +313,11 @@ def dropout(a: Tensor, rate: float, train: bool, rng=None) -> Tensor:
     if rng is None:
         raise ValueError("dropout in train mode requires an rng")
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    out = Tensor(a.data * keep, parents=(a,))
 
     def backward(g):
         _accum(a, g * keep)
 
-    out._backward_fn = backward
-    return out
+    return Tensor(a.data * keep, (a,), backward)
 
 
 def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
@@ -385,9 +351,7 @@ def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         steps.append((c_prev, i, f, g_, o, tc))
         rows.append(h)
     data = np.concatenate(rows + [c], axis=0)
-    out = Tensor(data, parents=(xs, w_ih, w_hh, bias))
 
-    # Closing over `data`, not `out`, keeps the node free of a reference cycle.
     def backward(grad):
         dpre = np.empty((n, 4 * hidden))
         dh = np.zeros((1, hidden))
@@ -408,8 +372,7 @@ def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         _accum(bias, dpre.sum(axis=0, keepdims=True))
         _accum(xs, dpre @ w_ih.data.T)
 
-    out._backward_fn = backward
-    return out
+    return Tensor(data, (xs, w_ih, w_hh, bias), backward)
 
 
 def cross_entropy_logits(logits: Tensor, onehot: np.ndarray) -> Tensor:
@@ -424,14 +387,12 @@ def cross_entropy_logits(logits: Tensor, onehot: np.ndarray) -> Tensor:
     lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
     nll = -(onehot * (z - lse)).sum(axis=1)
     n = z.shape[0]
-    out = Tensor(np.array(nll.mean()), parents=(logits,))
 
     def backward(g):
         p = np.exp(z - lse)
         _accum(logits, float(g) / n * (p - onehot))
 
-    out._backward_fn = backward
-    return out
+    return Tensor(np.array(nll.mean()), (logits,), backward)
 
 
 # ---------------------------------------------------------------------------

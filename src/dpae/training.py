@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import atomic_write, read_json, write_csv, write_json
-from .encoder import init_dense
+from .encoder import init_dense, perturb_patches
 from .model import DPAE, ModelProfile
 
 DEFAULT_CURRICULUM = (
@@ -106,9 +106,9 @@ def nadam_step(params, grad, state, lr):
 def train_step(x, model, state, config, rng):
     """One sample through the full perturbation schedule; returns the losses."""
     losses = []
-    for perturb in config.curriculum:
-        recon, _, _ = model.reconstruct(x, perturb=perturb, train_mode=True,
-                                        rng=rng)
+    for snr_db, ratio_pad in config.curriculum:
+        xp, _ = perturb_patches(x, snr_db, ratio_pad, model.grid, rng)
+        recon, _ = model.reconstruct(xp, train_mode=True, rng=rng)
         loss = mse_loss(x, recon)
         T.zero_grads(model.params)
         T.backward(loss)
@@ -219,6 +219,9 @@ def _build(kind, meta):
                     seed=meta["seed"])
     if meta["task"] not in ("classify", "regress"):
         raise ValueError(f"unknown head task {meta['task']!r}")
+    if len(meta["widths"]) < 2 or min(meta["widths"]) < 1:
+        raise ValueError(f"head widths {meta['widths']} are not two or more "
+                         f"sizes of at least 1")
     return T.Parameters(init_dense({}, "", meta["widths"], np.random.default_rng(0)))
 
 

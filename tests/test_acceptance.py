@@ -120,8 +120,10 @@ def test_criterion_1_gradient_integrity():
                                          size=(DESK_PROFILE.p,
                                                DESK_PROFILE.l))
 
+    xp = D.patchify(x, model.grid)
+
     def full():
-        recon, _, _ = model.reconstruct(x)
+        recon, _ = model.reconstruct(xp)
         return TR.mse_loss(x, recon)
 
     worst = max(worst, T.grad_check(full, model.params, eps=1e-5,
@@ -144,8 +146,9 @@ def test_criterion_2_reconstruction_beats_identity(desk_run):
             x = ds.samples[i].matrix
             rng = np.random.default_rng(np.random.SeedSequence((0, 70 + j,
                                                                 i)))
-            x_pert = _perturb(x, snr_db, ratio_pad, model.grid, rng)
-            recon, _, _ = model.reconstruct(x_pert)
+            xp, _ = perturb_patches(x, snr_db, ratio_pad, model.grid, rng)
+            x_pert = D.unpatchify(xp, model.grid)
+            recon, _ = model.reconstruct(xp)
             report = M.reconstruction_report(x, x_pert, recon.data)
             ratios.append(report["improvement_ratio"])
         means[(snr_db, ratio_pad)] = float(np.mean(ratios))
@@ -304,7 +307,7 @@ def test_criterion_6_paper_scale_structure():
     xp = D.patchify(x, grid)
     model = DPAE(profile, seed=0)
     pre = preprocess(T.Tensor(xp), model.params)
-    latent, class_row, _ = model.encode(x)
+    latent, class_row = model.encode(xp)
     recon = model.decode(latent, class_row)
     curriculum = [tuple(pair) for pair in TR.DEFAULT_CURRICULUM]
     # A one-epoch toy run logs the actual per-step schedule.

@@ -244,6 +244,22 @@ class TestTrainHeads:
         assert probs.shape == (2,)
         assert np.isclose(probs.sum(), 1.0)
 
+    @pytest.mark.parametrize("head", ["forest", "e2e"])
+    def test_one_family_writes_the_files_all_writes(self, ws, tmp_path, head):
+        # A head's seed offset is its place in the head table, not its place
+        # among the heads a run selects.
+        out = tmp_path / "h"
+        latents = ["--latents", os.path.join(ws.lat, "latents.csv")]
+        assert run_cli("train-heads", *(latents if head != "e2e" else []),
+                       "--data", ws.data, "--out", str(out), "--head", head,
+                       "--seed", SEED) == 0
+        for name in (f"{head}_cla", f"{head}_reg"):
+            files = sorted(os.listdir(out / name))
+            assert files == sorted(os.listdir(os.path.join(ws.heads, name)))
+            for f in files:
+                assert same_bytes(out / name / f,
+                                  os.path.join(ws.heads, name, f)), (name, f)
+
     def test_missing_latents_is_usage_error(self, ws, tmp_path):
         assert run_cli("train-heads", "--data", ws.data,
                        "--out", str(tmp_path / "h"), "--head", "mlp",
@@ -421,6 +437,12 @@ MALFORMED = {
         lambda d: d["meta"]["widths"].__setitem__(1, "a"))),
     "head_without_widths": ("evaluate", lambda c: edit_json(
         c / "heads/mlp_cla/manifest.json", lambda d: d["meta"].pop("widths"))),
+    "head_widths_one_entry": ("evaluate", lambda c: edit_json(
+        c / "heads/mlp_cla/manifest.json",
+        lambda d: d["meta"].update(widths=[3]))),
+    "head_width_zero": ("evaluate", lambda c: edit_json(
+        c / "heads/mlp_reg/manifest.json",
+        lambda d: d["meta"].update(widths=[4, 0]))),
     "head_task_bogus": ("evaluate", lambda c: edit_json(
         c / "heads/mlp_reg/manifest.json",
         lambda d: d["meta"].update(task="bogus"))),
@@ -434,6 +456,12 @@ MALFORMED = {
     "sample_size_not_a_number": ("extract-latents", lambda c: edit_json(
         c / "data/manifest.json",
         lambda d: d["samples"][0].update(size_cm="x"))),
+    "sample_size_negative": ("extract-latents", lambda c: edit_json(
+        c / "data/manifest.json",
+        lambda d: d["samples"][0].update(size_cm=-1.0))),
+    "sample_size_nan": ("extract-latents", lambda c: edit_json(
+        c / "data/manifest.json",
+        lambda d: d["samples"][3].update(size_cm=float("nan")))),
     "sample_cell_not_a_number": ("extract-latents", lambda c: edit_lines(
         c / "data/sample_0000.csv",
         lambda lines: lines[:1] + ["x" + lines[1][lines[1].index(","):]]

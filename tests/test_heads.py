@@ -381,8 +381,17 @@ class TestPersistence:
         def dpae_kind(doc):
             doc["meta"]["kind"] = "dpae"
 
+        def one_width(doc):
+            doc["meta"]["widths"] = [3]
+
+        def no_width(doc):
+            doc["meta"]["widths"] = []
+
+        def zero_width(doc):
+            doc["meta"]["widths"] = [4, 0]
+
         for edit in (drop_w2, widen, text_width, no_widths, bogus_task, no_meta,
-                     no_parameters, dpae_kind):
+                     no_parameters, dpae_kind, one_width, no_width, zero_width):
             doc = json.loads(json.dumps(saved))
             edit(doc)
             manifest.write_text(json.dumps(doc))

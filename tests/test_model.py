@@ -179,32 +179,33 @@ class TestEncode:
     def test_latent_length_at_paper_scale(self):
         model = DPAE(PAPER_PROFILE, seed=14)
         x = np.random.default_rng(11).uniform(0, 1, size=(200, 38))
-        latent, class_row, mask = model.encode(x)
+        xp = patchify(x, model.grid)
+        latent, class_row = model.encode(xp)
+        assert xp.shape == (190, 40)
         assert latent.shape == (1, 128)
         assert class_row.shape == (1, 40)
-        assert mask.shape == (190,) and not mask.any()
 
     def test_eval_determinism(self):
         model = toy_model(seed=15)
-        x = np.random.default_rng(12).uniform(0, 1, size=(TOY.p, TOY.l))
-        a, _, _ = model.encode(x)
-        b, _, _ = model.encode(x)
+        xp = np.random.default_rng(12).uniform(0, 1, size=(TOY.N, TOY.D))
+        a, _ = model.encode(xp)
+        b, _ = model.encode(xp)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_finite_on_extreme_inputs(self):
         model = toy_model(seed=16)
         for fill in (-0.5, 1.5):
-            latent, _, _ = model.encode(np.full((TOY.p, TOY.l), fill))
+            latent, _ = model.encode(np.full((TOY.N, TOY.D), fill))
             assert np.isfinite(latent.data).all()
 
     def test_masked_rows_content_irrelevant(self):
         model = toy_model(seed=17)
-        perturb = (None, 0.5)
+        grid = model.grid
         x = np.random.default_rng(13).uniform(0, 1, size=(TOY.p, TOY.l))
-        _, _, mask = model.encode(x, perturb, rng=np.random.default_rng(99))
+        _, mask = enc.perturb_patches(x, None, 0.5, grid,
+                                      np.random.default_rng(99))
 
         # Rebuild a matrix differing only inside the masked patches.
-        grid = model.grid
         xp = patchify(x, grid)
         xp2 = xp.copy()
         xp2[mask] += np.random.default_rng(14).normal(size=(mask.sum(), grid.D))
@@ -214,18 +215,20 @@ class TestEncode:
             for j in range(grid.m):
                 x2[j * grid.D:(j + 1) * grid.D, i] = xp2[i * grid.m + j]
 
-        a, _, m1 = model.encode(x, perturb, rng=np.random.default_rng(99))
-        b, _, m2 = model.encode(x2, perturb, rng=np.random.default_rng(99))
+        p1, m1 = enc.perturb_patches(x, None, 0.5, grid, np.random.default_rng(99))
+        p2, m2 = enc.perturb_patches(x2, None, 0.5, grid, np.random.default_rng(99))
+        a, _ = model.encode(p1)
+        b, _ = model.encode(p2)
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_gradient_wrt_class_token(self):
         model = toy_model(seed=18)
-        x = np.random.default_rng(15).uniform(0, 1, size=(TOY.p, TOY.l))
+        xp = np.random.default_rng(15).uniform(0, 1, size=(TOY.N, TOY.D))
         probe = {"enc.class_token": model.params["enc.class_token"]}
 
         def f():
-            latent, _, _ = model.encode(x)
+            latent, _ = model.encode(xp)
             return T.mean_all(T.square(latent))
 
         err = T.grad_check(f, probe, eps=1e-5)
@@ -277,23 +280,24 @@ class TestDecode:
     def test_output_shape_at_paper_scale(self):
         model = DPAE(PAPER_PROFILE, seed=22)
         x = np.random.default_rng(18).uniform(0, 1, size=(200, 38))
-        recon, latent, _ = model.reconstruct(x)
+        recon, latent = model.reconstruct(patchify(x, model.grid))
         assert recon.shape == (200, 38)
         assert np.isfinite(recon.data).all()
 
     def test_eval_determinism(self):
         model = toy_model(seed=23)
-        x = np.random.default_rng(19).uniform(0, 1, size=(TOY.p, TOY.l))
-        a, _, _ = model.reconstruct(x)
-        b, _, _ = model.reconstruct(x)
+        xp = np.random.default_rng(19).uniform(0, 1, size=(TOY.N, TOY.D))
+        a, _ = model.reconstruct(xp)
+        b, _ = model.reconstruct(xp)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_end_to_end_gradient(self):
         model = toy_model(seed=24)
         x = np.random.default_rng(20).uniform(0, 1, size=(TOY.p, TOY.l))
+        xp = patchify(x, model.grid)
 
         def f():
-            recon, _, _ = model.reconstruct(x)
+            recon, _ = model.reconstruct(xp)
             return T.mean_all(T.square(T.sub(recon, T.Tensor(x))))
 
         # Top-|gradient| probe entries across every parameter tensor.
@@ -305,9 +309,9 @@ class TestDecode:
         # rows, then the encoder's and the decoder's dropout draws.
         model = toy_model(seed=25)
         x = np.random.default_rng(21).uniform(0, 1, size=(TOY.p, TOY.l))
-        recon, latent, mask = model.reconstruct(
-            x, perturb=(30.0, 0.2), train_mode=True,
-            rng=np.random.default_rng(7))
+        rng7 = np.random.default_rng(7)
+        patches, mask = enc.perturb_patches(x, 30.0, 0.2, model.grid, rng7)
+        recon, latent = model.reconstruct(patches, train_mode=True, rng=rng7)
 
         rng = np.random.default_rng(7)
         noisy = add_noise(x, 30.0, rng)
@@ -320,7 +324,7 @@ class TestDecode:
         want_latent = enc.latent_head(enc.lstm_traverse(seq, model.params),
                                       model.params)
         want = dec.decode(want_latent, class_row, model.params, TOY,
-                          model.grid, model.pe_table, train_mode=True, rng=rng)
+                          model.pe_table, train_mode=True, rng=rng)
         assert want_mask.any()
         np.testing.assert_array_equal(mask, want_mask)
         np.testing.assert_array_equal(latent.data, want_latent.data)

@@ -11,6 +11,7 @@ import pytest
 from dpae import data as D
 from dpae import tensor as T
 from dpae import training as TR
+from dpae.encoder import perturb_patches
 from dpae.model import DPAE, ModelProfile
 
 TINY = ModelProfile(p=16, l=2, m=4, depth_enc=1, depth_dec=1, heads=2,
@@ -263,8 +264,8 @@ class TestTrainStep:
         ds = tiny_dataset()
         model = DPAE(TINY, seed=5)
         rng = np.random.default_rng(6)
-        recon, _, _ = model.reconstruct(ds.samples[0].matrix, (30.0, 0.2),
-                                        train_mode=True, rng=rng)
+        xp, _ = perturb_patches(ds.samples[0].matrix, 30.0, 0.2, model.grid, rng)
+        recon, _ = model.reconstruct(xp, train_mode=True, rng=rng)
         loss = TR.mse_loss(ds.samples[0].matrix, recon)
         T.zero_grads(model.params)
         T.backward(loss)
@@ -366,7 +367,7 @@ class TestParameterBuffer:
     def test_backward_and_zero_grads_act_on_the_buffer(self):
         model = DPAE(TINY, seed=5)
         x = tiny_dataset().samples[0].matrix
-        recon, _, _ = model.reconstruct(x)
+        recon, _ = model.reconstruct(D.patchify(x, model.grid))
         T.backward(TR.mse_loss(x, recon))
         assert np.array_equal(model.params.grad, np.concatenate(
             [p.grad.ravel() for p in model.params.values()]))

@@ -4,12 +4,13 @@
     python3 tools/parity.py compare A.json B.json
 
 `run` runs a fixed desk chain (gen-data with 12 samples, train-dpae for 2
-epochs, reconstruct --passthrough, extract-latents with and without --clean,
-train-heads --head all, evaluate, explain --band 0.1,100 --coalitions 64 and
-gradcheck --scope all, all at seed 0) in a temporary directory, with the
-`dpae` package from DIR/src; DIR defaults to the tree this script is in. It
-writes the sha256 of every file the chain leaves, by path relative to that
-directory, and the text gradcheck prints. BLAS runs on one thread.
+epochs, reconstruct --passthrough, reconstruct --index 3 --snr 25 --pad 0.4,
+extract-latents with and without --clean, train-heads --head all, evaluate,
+explain --band 0.1,100 --coalitions 64 and gradcheck --scope all, all at seed
+0) in a temporary directory, with the `dpae` package from DIR/src; DIR
+defaults to the tree this script is in. It writes the sha256 of every file the
+chain leaves, by path relative to that directory, and the text gradcheck
+prints. BLAS runs on one thread.
 
 `compare` prints every file that differs or is missing on one side, and the
 lines of the gradcheck output that differ; it exits 1 if there is any.
@@ -38,6 +39,8 @@ CHAIN = (
      "--epochs", "2"),
     ("reconstruct", "--model", CKPT, "--data", "data", "--out", "rec",
      "--passthrough"),
+    ("reconstruct", "--model", CKPT, "--data", "data", "--out",
+     "rec_perturbed", "--index", "3", "--snr", "25", "--pad", "0.4"),
     ("extract-latents", "--model", CKPT, "--data", "data", "--out", "lat"),
     ("extract-latents", "--model", CKPT, "--data", "data", "--out",
      "lat_clean", "--clean"),
