@@ -124,7 +124,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.data.shape[0] > 1 or b.grad is None:
+            _accum(b, a.data.T @ g)
+            return
+        # One row of a: add the outer product a^T g (the k = 1 GEMM's bits) a
+        # block of b's rows at a time, so that no b-sized temporary is made.
+        step = max(1, (1 << 16) // g.size)
+        for lo in range(0, b.data.shape[0], step):
+            b.grad[lo:lo + step] += a.data[0, lo:lo + step, None] * g
 
     return Tensor(a.data @ b.data, (a, b), backward)
 
@@ -239,19 +246,15 @@ def softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_grad(y, g):
-    """The input gradient of y = softmax(x): y_ij * (g_ij - sum_k g_ik y_ik)."""
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-
 def attention(qkv: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product self-attention over the rows, as one tape node.
 
     Head h reads q, k and v, in that order, from columns [3 dh h, 3 dh (h + 1))
     of the n x (3 heads dh) input; the heads are the batch axis of np.matmul
     on (heads, n, dh) stacks. Returns the n x (heads dh) concatenation of the
-    head outputs. Every product keeps the operand layouts of per-head 2-D
-    matmuls over a contiguous k^T, so the bits equal that composition's.
+    head outputs. The forward keeps the operand layouts of per-head 2-D
+    matmuls over a contiguous k^T and the ufuncs of `softmax`, in place, so
+    its bits equal that composition's.
     """
     x = qkv.data
     if x.ndim != 2 or heads < 1 or x.shape[1] % (3 * heads):
@@ -261,20 +264,27 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
     factor = 1.0 / math.sqrt(dh)
     q, k, v = x.reshape(n, heads, 3, dh).transpose(2, 1, 0, 3)
     kt = np.ascontiguousarray(k.mT)
-    y = softmax(q @ kt * factor)
+    y = q @ kt
+    y *= factor
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = y @ v
 
     def backward(grad):
+        # dl = y (g v^T - s) with s_i = sum_j (g v^T)_ij y_ij = sum_k g_ik out_ik.
         g = grad.reshape(n, heads, dh).transpose(1, 0, 2)
-        dl = _softmax_grad(y, g @ v.mT) * factor
+        dl = g @ v.mT
+        dl -= (g * out).sum(axis=-1, keepdims=True)
+        dl *= y
         dqkv = np.empty((n, heads, 3, dh))
         dq, dk, dv = dqkv.transpose(2, 1, 0, 3)
-        dq[...] = dl @ kt.mT
-        dk[...] = (q.mT @ dl).mT
+        np.multiply(dl @ k, factor, out=dq)
+        np.multiply(dl.mT @ q, factor, out=dk)
         dv[...] = y.mT @ g
         _accum(qkv, dqkv.reshape(n, 3 * heads * dh))
 
-    return Tensor((y @ v).transpose(1, 0, 2).reshape(n, heads * dh), (qkv,),
-                  backward)
+    return Tensor(out.transpose(1, 0, 2).reshape(n, heads * dh), (qkv,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
@@ -325,8 +335,9 @@ def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
 
     Gate order along the fused width-4H axis is (input, forget, cell, output).
     Returns an (n + 1) x H tensor: the n hidden states, then the final cell
-    state. The backward pass runs the recurrence in reverse time, then forms
-    the weight, bias and input gradients as GEMMs over every step's dpre row.
+    state. The backward pass takes every step's gate factors first, runs the
+    recurrence in reverse time, then forms the weight, bias and input gradients
+    as GEMMs over every step's dpre row.
     """
     if xs.data.ndim != 2 or xs.data.shape[0] < 1:
         raise ShapeError(f"lstm expects a nonempty matrix, got shape {xs.data.shape}")
@@ -353,20 +364,22 @@ def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     data = np.concatenate(rows + [c], axis=0)
 
     def backward(grad):
+        # dpre of step t is gc * fac[t, :3] then gh * fac[t, 3], in gate order.
+        c_prev, i, f, g_, o, tc = (np.concatenate(a) for a in zip(*steps))
+        oc = o * (1.0 - tc * tc)
+        fac = np.stack([g_ * i * (1.0 - i), c_prev * f * (1.0 - f),
+                        i * (1.0 - g_ * g_), tc * o * (1.0 - o)], axis=1)
         dpre = np.empty((n, 4 * hidden))
-        dh = np.zeros((1, hidden))
-        dc = grad[n:n + 1]
+        by_gate = dpre.reshape(n, 4, hidden)
+        dh = np.zeros(hidden)
+        dc = grad[n]
         for t in reversed(range(n)):
-            c_prev, i, f, g_, o, tc = steps[t]
-            gh = grad[t:t + 1] + dh
-            gc = dc + gh * o * (1.0 - tc * tc)
-            row = dpre[t:t + 1]
-            row[:, :hidden] = gc * g_ * i * (1.0 - i)
-            row[:, hidden:2 * hidden] = gc * c_prev * f * (1.0 - f)
-            row[:, 2 * hidden:3 * hidden] = gc * i * (1.0 - g_ * g_)
-            row[:, 3 * hidden:] = gh * tc * o * (1.0 - o)
-            dh = row @ w_hh.data.T
-            dc = gc * f
+            gh = grad[t] + dh
+            gc = dc + gh * oc[t]
+            np.multiply(gc, fac[t, :3], out=by_gate[t, :3])
+            np.multiply(gh, fac[t, 3], out=by_gate[t, 3])
+            dh = w_hh.data @ dpre[t]
+            dc = gc * f[t]
         _accum(w_ih, xs.data.T @ dpre)
         _accum(w_hh, data[:n - 1].T @ dpre[1:])  # h_0 = 0 adds nothing
         _accum(bias, dpre.sum(axis=0, keepdims=True))

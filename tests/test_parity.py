@@ -13,8 +13,8 @@ parity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(parity)
 
 
-def record(files, stdout="matmul 1e-10 ok\nworst 1e-10\n"):
-    return {"files": files, "gradcheck_stdout": stdout}
+def record(files, stdout="matmul 1e-10 ok\nworst 1e-10\n", losses=(0.5, 0.25)):
+    return {"files": files, "gradcheck_stdout": stdout, "losses": list(losses)}
 
 
 def test_identical_records_have_no_difference(tmp_path, capsys):
@@ -42,3 +42,15 @@ def test_every_difference_is_listed(tmp_path, b, want):
     (tmp_path / "b.json").write_text(json.dumps(b))
     assert parity.main(["compare", str(tmp_path / "a.json"),
                         str(tmp_path / "b.json")]) == 1
+
+
+@pytest.mark.parametrize("losses, want", [
+    ((0.5, 0.25 + 2.0 ** -53),
+     "  losses: largest relative difference 4.44e-16 over 2 rows"),
+    ((0.5, 0.2), "  losses: largest relative difference 0.2 over 2 rows"),
+    ((0.5,), "  losses: 2 rows in A, 1 in B"),
+], ids=["last_bits", "worse", "shorter"])
+def test_loss_history_difference_is_measured(losses, want):
+    a = record({parity.LOSSES: "1", "x": "2"})
+    b = record({parity.LOSSES: "3", "x": "2"}, losses=losses)
+    assert parity.compare(a, b) == [f"differs: {parity.LOSSES}", want]

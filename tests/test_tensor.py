@@ -23,6 +23,11 @@ def sum_all(x):
     return T.matmul(T.matmul(T.Tensor(np.ones((1, r))), x), T.Tensor(np.ones((c, 1))))
 
 
+def softmax_grad(y, g):
+    """The input gradient of y = softmax(x): y_ij * (g_ij - sum_k g_ik y_ik)."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 class TestMatmul:
     def test_identity(self):
         x = T.Tensor(rand((3, 4), seed=1))
@@ -44,9 +49,35 @@ class TestMatmul:
         err = T.grad_check(lambda: T.mean_all(T.matmul(a, b)), [a, b])
         assert err <= 1e-7
 
+    @pytest.mark.parametrize("cols", [300, 1000], ids=["one_block", "two_blocks"])
+    def test_one_row_weight_gradient_is_the_gemm_bit_for_bit(self, cols):
+        # The backward forms a one-row product's weight gradient as the
+        # broadcast outer product a^T * g, added to a held gradient in blocks
+        # of rows; it must equal a^T @ g, the k = 1 GEMM, and accumulate.
+        rng = np.random.default_rng(45)
+        a = T.Tensor(rng.normal(size=(1, 128)))
+        b = T.Parameter(rng.normal(size=(128, cols)), "b")
+        fresh = T.Tensor(b.data)
+        g = rng.normal(size=(1, cols))
+        want = a.data.T @ g
+        for node in (b, fresh):
+            T.matmul(a, node)._backward_fn(g)
+            assert node.grad.tobytes() == want.tobytes()
+        T.matmul(a, b)._backward_fn(g)
+        assert b.grad.tobytes() == (want + want).tobytes()
+
+    def test_one_row_gradient_vs_finite_differences(self):
+        a = T.Parameter(rand((1, 4), seed=46), "a")
+        b = T.Parameter(rand((4, 3), seed=47), "b")
+        w = T.Tensor(rand((1, 3), seed=48))
+        err = T.grad_check(
+            lambda: T.mean_all(T.square(T.sub(T.matmul(a, b), w))), [a, b])
+        assert err <= 1e-7
+
 
 class TestSoftmaxRows:
-    """`softmax` along the last axis, which attention and MLP heads share."""
+    """`softmax` along the last axis: the MLP heads' class probabilities, and
+    the ufuncs that attention applies in place."""
 
     def test_equal_values_give_uniform(self):
         out = T.softmax(np.full((2, 5), 3.7))
@@ -67,8 +98,8 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(T.softmax(x).sum(axis=1), 1.0, atol=1e-12)
 
     def test_gradient(self):
-        # The input gradient attention's backward takes through its softmax,
-        # against central differences of sum(g * softmax(x)).
+        # The input gradient rule of `per_head_attention`, the attention
+        # reference, against central differences of sum(g * softmax(x)).
         x, g, eps = rand((3, 5), seed=4), rand((3, 5), seed=5), 1e-5
         fd = np.zeros_like(x)
         for i in np.ndindex(x.shape):
@@ -76,7 +107,7 @@ class TestSoftmaxRows:
             step[i] = eps
             fd[i] = np.sum(g * (T.softmax(x + step) - T.softmax(x - step))) \
                 / (2.0 * eps)
-        np.testing.assert_allclose(T._softmax_grad(T.softmax(x), g), fd,
+        np.testing.assert_allclose(softmax_grad(T.softmax(x), g), fd,
                                    rtol=1e-7, atol=1e-10)
 
 
@@ -290,8 +321,10 @@ class TestLstm:
         # taken with sum_all so that every entry's seed gradient is exactly 1.0.
         # The forward still matches it bit for bit. The backward forms the
         # weight, bias and input gradients as GEMMs after the time loop, which
-        # reorders their sums: `hoisted` records those bits, and the per-step
-        # records hold within 1e-12 relative (2.1e-15 measured, on xs).
+        # reorders their sums: `hoisted` records those bits. It then took every
+        # step's gate derivative factors before the time loop, which
+        # reassociates the dpre products: `factored` records those bits, and
+        # both older records hold within 1e-12 relative.
         rng = np.random.default_rng(41)
         xs = T.Parameter(rng.uniform(-1.0, 1.0, (4, 3)), "xs")
         w_ih = T.Parameter(rng.uniform(-0.5, 0.5, (3, 8)), "w_ih")
@@ -370,13 +403,46 @@ class TestLstm:
                  "0x1.95c9579d8722ep-7", "0x1.4e5f742f08552p-5"),
             ),
         }
+        factored = {
+            "xs": hex_rows(
+                ("0x1.1bc6c339be4d8p-6", "0x1.ddf12ead476abp-7", "-0x1.1ea40bd6dda2fp-5"),
+                ("0x1.4d8577d9fcf02p-7", "0x1.4edd6fe2c47f1p-8", "-0x1.3136ab7745881p-5"),
+                ("-0x1.11f45d1abe515p-5", "-0x1.0763769babeacp-5", "-0x1.3c42caa66c5ebp-5"),
+                ("-0x1.7de3c735040f4p-5", "-0x1.e17aa76fe0d9ap-6", "-0x1.760bb8a61ae8ep-9"),
+            ),
+            "w_ih": hex_rows(
+                ("-0x1.f92cb12bc7f7ap-11", "0x1.01b65e5f89d57p-5", "0x1.088fe96e42e44p-9",
+                 "0x1.03f99549cb96bp-8", "-0x1.22fa35307534ep-5", "-0x1.398541a590773p-4",
+                 "0x1.7e76c122ac8d5p-11", "0x1.982283f942289p-6"),
+                ("0x1.8bc4a263e79a1p-10", "0x1.9b5a1f447d976p-6", "0x1.e09bf88294404p-9",
+                 "0x1.cc84eb8cb89b2p-9", "-0x1.11bf87fd5225fp-4", "-0x1.b24df8e53b946p-5",
+                 "0x1.83d2dcd983731p-9", "0x1.721e54930d628p-6"),
+                ("-0x1.1f6b39515c389p-7", "-0x1.bd004f8e297b5p-7", "0x1.ad6ccb4a5d0edp-8",
+                 "-0x1.9c39ad58824dbp-8", "-0x1.1d6d56d2fb3aap-6", "0x1.53f8df612b7dfp-4",
+                 "-0x1.9102fc56406eep-9", "-0x1.1f27252088b5cp-6"),
+            ),
+            "w_hh": hex_rows(
+                ("0x1.8c4559dffe136p-11", "-0x1.2ce4d9592284bp-10", "-0x1.efc8192a10e17p-11",
+                 "0x1.27324238134a9p-11", "0x1.a424294afb2b2p-8", "-0x1.ed56657a7ff6cp-9",
+                 "0x1.7b036ed5ee32ep-14", "0x1.bff64df29148cp-14"),
+                ("-0x1.116d4d259ddf6p-9", "-0x1.eeb061907cd87p-10", "-0x1.0380b9dcaaf6fp-11",
+                 "-0x1.53b0749ac7705p-11", "0x1.36575e6c54c12p-6", "0x1.197bb1c176979p-8",
+                 "-0x1.9dcfc6a139450p-10", "-0x1.a10bc19f1d856p-9"),
+            ),
+            "bias": hex_rows(
+                ("0x1.ca280f4db959ap-7", "0x1.717e4754f7550p-5", "0x1.d79014b9363bdp-8",
+                 "0x1.243d4bff1c3ffp-8", "-0x1.6ddf1007d425ep-3", "-0x1.5966a41f94147p-4",
+                 "0x1.95c9579d87230p-7", "0x1.4e5f742f08554p-5"),
+            ),
+        }
         got = {"out": out.data, "xs": xs.grad, "w_ih": w_ih.grad,
                "w_hh": w_hh.grad, "bias": b.grad}
         assert got["out"].tobytes() == recorded["out"].tobytes()
-        for name, want in hoisted.items():
+        for name, want in factored.items():
             assert got[name].tobytes() == want.tobytes(), name
-            np.testing.assert_allclose(got[name], recorded[name], rtol=1e-12,
-                                       atol=0.0, err_msg=name)
+            for older in (recorded, hoisted):
+                np.testing.assert_allclose(got[name], older[name], rtol=1e-12,
+                                           atol=0.0, err_msg=name)
 
 
 def hex_digest(*arrays):
@@ -385,6 +451,33 @@ def hex_digest(*arrays):
         h.update(",".join(float.hex(v) for v in a.ravel().tolist()).encode())
         h.update(b";")
     return h.hexdigest()
+
+
+def per_head_attention(x, qkv, proj, w, heads):
+    """out = attention(x @ qkv) @ proj and the x, qkv and proj gradients of
+    mean((out - w) ** 2), head by head in 2-D matmuls, in the arithmetic that
+    `TestAttention.RECORDED` was taken with."""
+    n, d = x.shape
+    dh = d // heads
+    factor = 1.0 / np.sqrt(dh)
+    a = x @ qkv
+    cols = [[slice((3 * h + j) * dh, (3 * h + j + 1) * dh) for j in range(3)]
+            for h in range(heads)]
+    ys = [T.softmax(a[:, q] @ np.ascontiguousarray(a[:, k].T) * factor)
+          for q, k, _ in cols]
+    att = np.concatenate([y @ a[:, v] for y, (_, _, v) in zip(ys, cols)], axis=1)
+    out = att @ proj
+    gout = 2.0 * np.full_like(out, 1.0 / out.size) * (out - w)
+    datt = gout @ proj.T
+    da = np.empty_like(a)
+    for h, (y, (q, k, v)) in enumerate(zip(ys, cols)):
+        g = datt[:, h * dh:(h + 1) * dh]
+        dl = softmax_grad(y, g @ a[:, v].T) * factor
+        da[:, q] = dl @ np.ascontiguousarray(a[:, k].T).T
+        da[:, k] = (a[:, q].T @ dl).T
+        da[:, v] = y.T @ g
+    # Gradients land on zeroed parameter buffers, which turns -0.0 into 0.0.
+    return out, 0.0 + da @ qkv.T, 0.0 + x.T @ da, 0.0 + att.T @ gout
 
 
 class TestAttention:
@@ -410,8 +503,8 @@ class TestAttention:
         "one_row": "394d68122b6dad8ad9c869382705b7e7b7f8020159b043bd38a4946ee528bcac",
     }
 
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_matches_per_head_tape_bit_for_bit(self, name):
+    def run(self, name):
+        """(op's output and x, qkv, proj gradients, the same from the reference)."""
         n, d, heads = self.CASES[name]
         rng = np.random.default_rng(sum(map(ord, name)))
         x = T.Parameter(rng.normal(size=(n, d)), "x")
@@ -420,7 +513,27 @@ class TestAttention:
         w = T.Tensor(rng.normal(size=(n, d)))
         out = T.matmul(T.attention(T.matmul(x, qkv), heads), proj)
         T.backward(T.mean_all(T.square(T.sub(out, w))))
-        assert hex_digest(out.data, x.grad, qkv.grad, proj.grad) == self.RECORDED[name]
+        return ((out.data, x.grad, qkv.grad, proj.grad),
+                per_head_attention(x.data, qkv.data, proj.data, w.data, heads))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_per_head_tape_bit_for_bit(self, name):
+        # The reference repeats the tape's arithmetic bit for bit, and the
+        # op's forward repeats the reference's.
+        got, want = self.run(name)
+        assert hex_digest(*want) == self.RECORDED[name]
+        assert got[0].tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_gradients_match_per_head_reference(self, name):
+        # The backward takes the softmax row sums over the dh columns of the
+        # head output and scales dq and dk instead of the scores, which
+        # reorders sums. Tolerance: 1e-12 of each gradient's largest entry
+        # (7.7e-16 measured); entries that cancel move by more relative to
+        # themselves (1.5e-11 measured), so the bound is not elementwise.
+        got, want = self.run(name)
+        for label, g, r in zip(("x", "qkv", "proj"), got[1:], want[1:]):
+            assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max(), label
 
     def test_equal_keys_average_the_values(self):
         # One head whose keys are all equal attends uniformly to every row.

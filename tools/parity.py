@@ -9,11 +9,13 @@ extract-latents with and without --clean, train-heads --head all, evaluate,
 explain --band 0.1,100 --coalitions 64 and gradcheck --scope all, all at seed
 0) in a temporary directory, with the `dpae` package from DIR/src; DIR
 defaults to the tree this script is in. It writes the sha256 of every file the
-chain leaves, by path relative to that directory, and the text gradcheck
-prints. BLAS runs on one thread.
+chain leaves, by path relative to that directory, the text gradcheck prints and
+the loss column of run/loss_history.csv. BLAS runs on one thread.
 
-`compare` prints every file that differs or is missing on one side, and the
-lines of the gradcheck output that differ; it exits 1 if there is any.
+`compare` prints every file that differs or is missing on one side, the
+largest relative difference between the two loss columns when the loss history
+differs, and the lines of the gradcheck output that differ; it exits 1 if there
+is any.
 
 To check a change against its parent commit, run `run` on a copy of each
 tree (for example `git worktree add ../parent HEAD~1`, then `--repo
@@ -21,6 +23,7 @@ tree (for example `git worktree add ../parent HEAD~1`, then `--repo
 """
 
 import argparse
+import csv
 import difflib
 import hashlib
 import json
@@ -31,6 +34,7 @@ import tempfile
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CKPT = "run/checkpoint_final"
+LOSSES = "run/loss_history.csv"
 SEED = "0"
 
 CHAIN = (
@@ -55,7 +59,8 @@ CHAIN = (
 
 
 def run_chain(repo):
-    """{"files": {relative path: sha256}, "gradcheck_stdout": text}."""
+    """{"files": {relative path: sha256}, "gradcheck_stdout": text,
+    "losses": the loss column of the training history}."""
     env = {k: v for k, v in os.environ.items() if k != "DPAE_OUTPUT_ROOT"}
     env["PYTHONPATH"] = os.path.join(os.path.abspath(repo), "src")
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -74,13 +79,17 @@ def run_chain(repo):
                 with open(path, "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
                 files[os.path.relpath(path, work)] = digest
+        with open(os.path.join(work, LOSSES), newline="") as fh:
+            rows = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
+            losses = [float(row["loss"]) for row in rows]
     return {"files": dict(sorted(files.items())),
-            "gradcheck_stdout": proc.stdout}
+            "gradcheck_stdout": proc.stdout, "losses": losses}
 
 
 def compare(a, b):
-    """Lines that name each file differing or missing on one side, then the
-    gradcheck output lines that differ."""
+    """Lines that name each file differing or missing on one side (the loss
+    history with its largest relative loss difference), then the gradcheck
+    output lines that differ."""
     lines = []
     for path in sorted(a["files"].keys() | b["files"].keys()):
         if path not in b["files"]:
@@ -89,12 +98,23 @@ def compare(a, b):
             lines.append(f"only in B: {path}")
         elif a["files"][path] != b["files"][path]:
             lines.append(f"differs: {path}")
+            if path == LOSSES:
+                lines.append(loss_difference(a["losses"], b["losses"]))
     if a["gradcheck_stdout"] != b["gradcheck_stdout"]:
         lines.append("differs: gradcheck stdout")
         lines += difflib.unified_diff(
             a["gradcheck_stdout"].splitlines(),
             b["gradcheck_stdout"].splitlines(), "A", "B", lineterm="")
     return lines
+
+
+def loss_difference(a, b):
+    """The largest |a - b| / max(|a|, |b|) over two loss columns, as a line."""
+    if len(a) != len(b):
+        return f"  losses: {len(a)} rows in A, {len(b)} in B"
+    worst = max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y),
+                default=0.0)
+    return f"  losses: largest relative difference {worst:.3g} over {len(a)} rows"
 
 
 def main(argv=None):
