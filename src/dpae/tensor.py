@@ -43,10 +43,7 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, parents=(), backward_fn=None):
-        arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad = None
         self._parents = parents
         self._backward_fn = backward_fn
@@ -124,14 +121,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         _accum(a, g @ b.data.T)
-        if a.data.shape[0] > 1 or b.grad is None:
-            _accum(b, a.data.T @ g)
-            return
-        # One row of a: add the outer product a^T g (the k = 1 GEMM's bits) a
-        # block of b's rows at a time, so that no b-sized temporary is made.
-        step = max(1, (1 << 16) // g.size)
-        for lo in range(0, b.data.shape[0], step):
-            b.grad[lo:lo + step] += a.data[0, lo:lo + step, None] * g
+        _accum(b, a.data.T @ g if a.data.shape[0] != 1 else a.data.T * g)
 
     return Tensor(a.data @ b.data, (a, b), backward)
 
@@ -253,8 +243,7 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
     of the n x (3 heads dh) input; the heads are the batch axis of np.matmul
     on (heads, n, dh) stacks. Returns the n x (heads dh) concatenation of the
     head outputs. The forward keeps the operand layouts of per-head 2-D
-    matmuls over a contiguous k^T and the ufuncs of `softmax`, in place, so
-    its bits equal that composition's.
+    matmuls over a contiguous k^T and softmax's ufuncs, so its bits match.
     """
     x = qkv.data
     if x.ndim != 2 or heads < 1 or x.shape[1] % (3 * heads):
@@ -335,9 +324,8 @@ def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
 
     Gate order along the fused width-4H axis is (input, forget, cell, output).
     Returns an (n + 1) x H tensor: the n hidden states, then the final cell
-    state. The backward pass takes every step's gate factors first, runs the
-    recurrence in reverse time, then forms the weight, bias and input gradients
-    as GEMMs over every step's dpre row.
+    state. The backward pass runs the recurrence in reverse time, then forms
+    the weight, bias and input gradients as GEMMs over every step's dpre row.
     """
     if xs.data.ndim != 2 or xs.data.shape[0] < 1:
         raise ShapeError(f"lstm expects a nonempty matrix, got shape {xs.data.shape}")
@@ -364,7 +352,6 @@ def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     data = np.concatenate(rows + [c], axis=0)
 
     def backward(grad):
-        # dpre of step t is gc * fac[t, :3] then gh * fac[t, 3], in gate order.
         c_prev, i, f, g_, o, tc = (np.concatenate(a) for a in zip(*steps))
         oc = o * (1.0 - tc * tc)
         fac = np.stack([g_ * i * (1.0 - i), c_prev * f * (1.0 - f),
@@ -458,9 +445,7 @@ def zero_grads(params) -> None:
 
 
 def _param_list(params):
-    if isinstance(params, dict):
-        return list(params.values())
-    return list(params)
+    return list(params.values() if isinstance(params, dict) else params)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,11 @@ _SPEC.loader.exec_module(parity)
 
 
 def record(files, stdout="matmul 1e-10 ok\nworst 1e-10\n", losses=(0.5, 0.25)):
-    return {"files": files, "gradcheck_stdout": stdout, "losses": list(losses)}
+    """A chain record; losses=None is one written before they were kept."""
+    rec = {"files": files, "gradcheck_stdout": stdout}
+    if losses is not None:
+        rec["losses"] = list(losses)
+    return rec
 
 
 def test_identical_records_have_no_difference(tmp_path, capsys):
@@ -44,13 +48,18 @@ def test_every_difference_is_listed(tmp_path, b, want):
                         str(tmp_path / "b.json")]) == 1
 
 
-@pytest.mark.parametrize("losses, want", [
-    ((0.5, 0.25 + 2.0 ** -53),
+@pytest.mark.parametrize("a_losses, b_losses, want", [
+    ((0.5, 0.25), (0.5, 0.25 + 2.0 ** -53),
      "  losses: largest relative difference 4.44e-16 over 2 rows"),
-    ((0.5, 0.2), "  losses: largest relative difference 0.2 over 2 rows"),
-    ((0.5,), "  losses: 2 rows in A, 1 in B"),
-], ids=["last_bits", "worse", "shorter"])
-def test_loss_history_difference_is_measured(losses, want):
-    a = record({parity.LOSSES: "1", "x": "2"})
-    b = record({parity.LOSSES: "3", "x": "2"}, losses=losses)
+    ((0.5, 0.25), (0.5, 0.2),
+     "  losses: largest relative difference 0.2 over 2 rows"),
+    ((0.5, 0.25), (0.5,), "  losses: 2 rows in A, 1 in B"),
+    (None, (0.5, 0.25), "  losses: not recorded in A"),
+    ((0.5, 0.25), None, "  losses: not recorded in B"),
+    (None, None, "  losses: not recorded in A and B"),
+], ids=["last_bits", "worse", "shorter", "unrecorded_a", "unrecorded_b",
+        "unrecorded_both"])
+def test_loss_history_difference_is_measured(a_losses, b_losses, want):
+    a = record({parity.LOSSES: "1", "x": "2"}, losses=a_losses)
+    b = record({parity.LOSSES: "3", "x": "2"}, losses=b_losses)
     assert parity.compare(a, b) == [f"differs: {parity.LOSSES}", want]

@@ -99,7 +99,7 @@ def compare(a, b):
         elif a["files"][path] != b["files"][path]:
             lines.append(f"differs: {path}")
             if path == LOSSES:
-                lines.append(loss_difference(a["losses"], b["losses"]))
+                lines.append(loss_difference(a.get("losses"), b.get("losses")))
     if a["gradcheck_stdout"] != b["gradcheck_stdout"]:
         lines.append("differs: gradcheck stdout")
         lines += difflib.unified_diff(
@@ -109,7 +109,11 @@ def compare(a, b):
 
 
 def loss_difference(a, b):
-    """The largest |a - b| / max(|a|, |b|) over two loss columns, as a line."""
+    """The largest |a - b| / max(|a|, |b|) over two loss columns, as a line.
+    A record from before the loss column was kept has None."""
+    missing = [side for side, col in (("A", a), ("B", b)) if col is None]
+    if missing:
+        return f"  losses: not recorded in {' and '.join(missing)}"
     if len(a) != len(b):
         return f"  losses: {len(a)} rows in A, {len(b)} in B"
     worst = max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y),
