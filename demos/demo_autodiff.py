@@ -24,9 +24,10 @@ def scalar_chain(seed):
     w = T.Parameter(np.array([[0.7]]), "w")
     # f(w) = mean((gelu(w^2))^2), gelu(u) = u Phi(u); hand derivative via
     # chain rule with gelu'(u) = Phi(u) + u phi(u).
-    out = T.mean_all(T.square(T.gelu(T.square(w))))
-    T.zero_grads({"w": w})
-    T.backward(out)
+    with T.tape():  # record the forward so backward can replay it
+        out = T.mean_all(T.square(T.gelu(T.square(w))))
+        T.zero_grads({"w": w})
+        T.backward(out)
     x = 0.7
     u = x * x
     cdf = 0.5 * (1.0 + math.erf(u / math.sqrt(2.0)))

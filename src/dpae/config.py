@@ -33,6 +33,18 @@ SECTIONS = {
 # true/false is never a number.
 JSON_NUMBERS = {int: ("integer", int), float: ("number", (int, float))}
 
+# The number type of each top-level field a config file may set.
+TOP_LEVEL_NUMBERS = {"seed": int, "count": int, "epochs": int,
+                     "snr_db": float, "ratio_pad": float}
+
+
+def _check_number(label, value, kind):
+    """Raise ValueError unless value is a JSON number of kind (int or float)."""
+    what, accepted = JSON_NUMBERS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"config value {label} must be a JSON {what}, "
+                         f"got {value!r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -55,6 +67,13 @@ class ExperimentConfig:
             self.count = preset["count"]
         if self.epochs is None:
             self.epochs = preset["epochs"]
+        for name, kind in TOP_LEVEL_NUMBERS.items():
+            _check_number(name, getattr(self, name), kind)
+        if not isinstance(self.size_band, (list, tuple)) or len(self.size_band) != 2:
+            raise ValueError(f"config value size_band must be two numbers, "
+                             f"got {self.size_band!r}")
+        for value in self.size_band:
+            _check_number("size_band", value, float)
         self.size_band = (float(self.size_band[0]), float(self.size_band[1]))
         if not (self.size_band[0] <= self.size_band[1]):
             raise ValueError("size band lower bound exceeds upper bound")
@@ -69,12 +88,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown {name} config keys: {sorted(unknown)}")
             for key, value in section.items():
-                what, accepted = JSON_NUMBERS.get(type(defaults[key]),
-                                                  (None, object))
-                if what and (isinstance(value, bool)
-                             or not isinstance(value, accepted)):
-                    raise ValueError(f"config value {name}.{key} must be a "
-                                     f"JSON {what}, got {value!r}")
+                if type(defaults[key]) in JSON_NUMBERS:
+                    _check_number(f"{name}.{key}", value, type(defaults[key]))
 
     def profile(self):
         return PAPER_PROFILE if self.scale == "paper" else DESK_PROFILE

@@ -44,14 +44,12 @@ def expand_latent(latent, params, profile):
     return T.reshape(z, (profile.N, profile.D))
 
 
-def decode(latent, class_row, params, profile, pe_table, train_mode=False,
-           rng=None):
+def decode(latent, class_row, params, profile, pe_table, rng=None):
     """(latent, encoded class token) -> reconstructed p x l matrix."""
     xp = expand_latent(latent, params, profile)
     seq = T.concat_rows([class_row, xp])
     seq = T.add(seq, T.Tensor(pe_table))
     for b in range(profile.depth_dec):
-        seq = transformer_block(seq, params, f"dec.block{b}", profile,
-                                train_mode, rng)
+        seq = transformer_block(seq, params, f"dec.block{b}", profile, rng)
     patches = T.slice_rows(seq, 1, profile.N + 1)
     return T.transpose(T.reshape(patches, (profile.l, profile.p)))

@@ -89,16 +89,16 @@ def msa(x, params, prefix, profile):
     return T.matmul(T.attention(qkv, profile.heads), params[f"{prefix}.proj"])
 
 
-def transformer_block(x, params, prefix, profile, train_mode=False, rng=None):
-    """Pre-norm residual block: attention branch, then MLP branch."""
+def transformer_block(x, params, prefix, profile, rng=None):
+    """Pre-norm residual block: attention, then MLP; an rng turns dropout on."""
     attn = msa(T.layer_norm(x, params[f"{prefix}.ln1.gain"],
                             params[f"{prefix}.ln1.bias"]), params, prefix, profile)
-    attn = T.dropout(attn, profile.dropout, train_mode, rng)
+    attn = T.dropout(attn, profile.dropout, rng)
     x = T.add(x, attn)
     h = T.layer_norm(x, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
     h = T.gelu(T.add(T.matmul(h, params[f"{prefix}.mlp.w1"]),
                      params[f"{prefix}.mlp.b1"]))
-    h = T.dropout(h, profile.dropout, train_mode, rng)
+    h = T.dropout(h, profile.dropout, rng)
     h = T.add(T.matmul(h, params[f"{prefix}.mlp.w2"]), params[f"{prefix}.mlp.b2"])
     return T.add(x, h)
 
@@ -132,10 +132,9 @@ def perturb_patches(x, snr_db, ratio_pad, grid, rng):
     return mask_patches(patchify(add_noise(x, snr_db, rng), grid), ratio_pad, rng)
 
 
-def encode(xp, params, profile, train_mode=False, rng=None):
+def encode(xp, params, profile, rng=None):
     """N x D patches -> (latent 1 x d, post-transformer class-token row 1 x D)."""
     seq = preprocess(xp, params)
     for b in range(profile.depth_enc):
-        seq = transformer_block(seq, params, f"enc.block{b}", profile,
-                                train_mode, rng)
+        seq = transformer_block(seq, params, f"enc.block{b}", profile, rng)
     return latent_head(lstm_traverse(seq, params), params), T.slice_rows(seq, 0, 1)

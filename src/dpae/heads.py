@@ -221,9 +221,10 @@ def _fit_network(X, labels, task, widths, config):
     report = FitReport(param_count=params.data.size)
 
     for epoch in range(config.max_epochs):
-        loss = _network_loss(params, widths, X[train_idx], y[train_idx], task)
-        T.zero_grads(params)
-        T.backward(loss)
+        with T.tape():
+            loss = _network_loss(params, widths, X[train_idx], y[train_idx], task)
+            T.zero_grads(params)
+            T.backward(loss)
         nadam_step(params, params.grad, state, config.lr * config.lr_decay ** epoch)
         report.train_curve.append(loss.item())
         val_loss = _network_loss(params, widths, X[val_idx], y[val_idx], task)

@@ -79,18 +79,18 @@ class DPAE:
         self.params = T.Parameters({**init_encoder_params(profile, rng),
                                      **init_decoder_params(profile, rng)})
 
-    def encode(self, xp, train_mode=False, rng=None):
-        """N x D patches -> (latent, class row)."""
-        return encode(xp, self.params, self.profile, train_mode, rng)
+    def encode(self, xp, rng=None):
+        """N x D patches -> (latent, class row); an rng turns dropout on."""
+        return encode(xp, self.params, self.profile, rng)
 
-    def decode(self, latent, class_row, train_mode=False, rng=None):
+    def decode(self, latent, class_row, rng=None):
         return decode(latent, class_row, self.params, self.profile,
-                      self.pe_table, train_mode, rng)
+                      self.pe_table, rng)
 
-    def reconstruct(self, xp, train_mode=False, rng=None):
+    def reconstruct(self, xp, rng=None):
         """N x D patches -> (reconstruction Tensor p x l, latent)."""
-        latent, class_row = self.encode(xp, train_mode, rng)
-        return self.decode(latent, class_row, train_mode, rng), latent
+        latent, class_row = self.encode(xp, rng)
+        return self.decode(latent, class_row, rng), latent
 
     def latent_vector(self, x):
         """Eval-mode latent of a p x l matrix as a flat ndarray of length d."""

@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every value flowing through the models in this package is a ``Tensor``: a
-row-major float64 array plus the tape links needed for backpropagation. The
-tape is implicit - each operation returns a new Tensor holding references to
-its inputs and a closure that routes the incoming gradient to them. Calling
-``backward`` on a scalar root walks the tape once in reverse topological
-order.
+row-major float64 array. Inside a ``tape()`` context each operation's result
+also keeps a closure that routes its incoming gradient to its inputs, and the
+tape lists every Tensor in creation order; ``backward`` on a scalar root runs
+the closures once in reverse creation order, which is a topological order.
+Outside a tape nothing is recorded, so inference keeps no graph.
 
 Broadcasting is deliberately restricted: binary elementwise operations
 require exact shape matches, with the single exception of adding a 1 x n
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import mmap
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
@@ -32,21 +33,42 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an operation."""
 
 
+# The open tape's list of Tensors, or None when nothing is recorded.
+_tape = None
+
+
+@contextmanager
+def _recording(nodes):
+    global _tape
+    outer, _tape = _tape, nodes
+    try:
+        yield nodes
+    finally:
+        _tape = outer
+
+
+def tape():
+    """Record every Tensor made inside into a fresh list, which it yields;
+    any outer tape is set aside until the context exits."""
+    return _recording([])
+
+
 class Tensor:
-    """A node of the computation tape.
+    """A value; inside a tape, also a node of it.
 
     ``data`` is always a float64 ndarray. ``grad`` is populated lazily during
     ``backward``; for ``Parameter`` leaves it persists between backward calls
-    so gradients accumulate until ``zero_grad``.
+    so gradients accumulate until ``zero_grads``.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "_backward_fn")
 
-    def __init__(self, data, parents=(), backward_fn=None):
+    def __init__(self, data, backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad = None
-        self._parents = parents
-        self._backward_fn = backward_fn
+        self._backward_fn = None if _tape is None else backward_fn
+        if _tape is not None:
+            _tape.append(self)
 
     @property
     def shape(self):
@@ -123,7 +145,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g if a.data.shape[0] != 1 else a.data.T * g)
 
-    return Tensor(a.data @ b.data, (a, b), backward)
+    return Tensor(a.data @ b.data, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -142,7 +164,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g)
         _accum(b, g.sum(axis=0, keepdims=True) if bias_row else g)
 
-    return Tensor(a.data + b.data, (a, b), backward)
+    return Tensor(a.data + b.data, backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -153,7 +175,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g)
         _accum(b, -g)
 
-    return Tensor(a.data - b.data, (a, b), backward)
+    return Tensor(a.data - b.data, backward)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -165,14 +187,14 @@ def gelu(a: Tensor) -> Tensor:
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
         _accum(a, g * (cdf + x * pdf))
 
-    return Tensor(x * cdf, (a,), backward)
+    return Tensor(x * cdf, backward)
 
 
 def square(a: Tensor) -> Tensor:
     def backward(g):
         _accum(a, 2.0 * g * a.data)
 
-    return Tensor(a.data * a.data, (a,), backward)
+    return Tensor(a.data * a.data, backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -181,7 +203,7 @@ def mean_all(a: Tensor) -> Tensor:
     def backward(g):
         _accum(a, np.full_like(a.data, float(g) / n))
 
-    return Tensor(np.array(a.data.mean()), (a,), backward)
+    return Tensor(np.array(a.data.mean()), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -191,7 +213,7 @@ def transpose(a: Tensor) -> Tensor:
     def backward(g):
         _accum(a, g.T)
 
-    return Tensor(a.data.T, (a,), backward)
+    return Tensor(a.data.T, backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -200,7 +222,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         _accum(a, g.reshape(a.data.shape))
 
-    return Tensor(a.data.reshape(shape), (a,), backward)
+    return Tensor(a.data.reshape(shape), backward)
 
 
 def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
@@ -212,11 +234,10 @@ def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
         full[i0:i1] = g
         _accum(a, full)
 
-    return Tensor(a.data[i0:i1], (a,), backward)
+    return Tensor(a.data[i0:i1], backward)
 
 
 def concat_rows(parts) -> Tensor:
-    parts = tuple(parts)
     cols = parts[0].data.shape[1]
     for p in parts:
         if p.data.ndim != 2 or p.data.shape[1] != cols:
@@ -227,7 +248,7 @@ def concat_rows(parts) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             _accum(p, g[lo:hi])
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=0), parts, backward)
+    return Tensor(np.concatenate([p.data for p in parts], axis=0), backward)
 
 
 def softmax(x):
@@ -273,7 +294,7 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
         dv[...] = y.mT @ g
         _accum(qkv, dqkv.reshape(n, 3 * heads * dh))
 
-    return Tensor(out.transpose(1, 0, 2).reshape(n, heads * dh), (qkv,), backward)
+    return Tensor(out.transpose(1, 0, 2).reshape(n, heads * dh), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
@@ -302,21 +323,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
         _accum(gain, (g * xhat).sum(axis=0).reshape(gain.data.shape))
         _accum(bias, g.sum(axis=0).reshape(bias.data.shape))
 
-    return Tensor(xhat * gvec + bvec, (x, gain, bias), backward)
+    return Tensor(xhat * gvec + bvec, backward)
 
 
-def dropout(a: Tensor, rate: float, train: bool, rng=None) -> Tensor:
-    """Inverted dropout; the identity in evaluation mode or at rate 0."""
-    if not train or rate == 0.0:
+def dropout(a: Tensor, rate: float, rng) -> Tensor:
+    """Inverted dropout, its mask drawn from rng; the identity without one or at rate 0."""
+    if rng is None or rate == 0.0:
         return a
-    if rng is None:
-        raise ValueError("dropout in train mode requires an rng")
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
 
     def backward(g):
         _accum(a, g * keep)
 
-    return Tensor(a.data * keep, (a,), backward)
+    return Tensor(a.data * keep, backward)
 
 
 def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
@@ -372,7 +391,7 @@ def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         _accum(bias, dpre.sum(axis=0, keepdims=True))
         _accum(xs, dpre @ w_ih.data.T)
 
-    return Tensor(data, (xs, w_ih, w_hh, bias), backward)
+    return Tensor(data, backward)
 
 
 def cross_entropy_logits(logits: Tensor, onehot: np.ndarray) -> Tensor:
@@ -392,49 +411,29 @@ def cross_entropy_logits(logits: Tensor, onehot: np.ndarray) -> Tensor:
         p = np.exp(z - lse)
         _accum(logits, float(g) / n * (p - onehot))
 
-    return Tensor(np.array(nll.mean()), (logits,), backward)
+    return Tensor(np.array(nll.mean()), backward)
 
 
 # ---------------------------------------------------------------------------
 # backward sweep
 
 
-def _topo_order(root: Tensor):
-    order = []
-    visited = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
-    return order
-
-
 def backward(root: Tensor):
-    """Accumulate d(root)/d(node) into every node reachable from root.
+    """Accumulate d(root)/d(node) into every node of the open tape.
 
-    ``root`` must be a scalar (size-1) tensor. Parameter gradients accumulate
-    on top of whatever they already hold; call ``zero_grads`` first for a
-    fresh gradient. Intermediate tape nodes get fresh gradient buffers, so
-    running backward twice over the same tape (with parameters re-zeroed)
-    produces identical results.
+    ``root`` must be a scalar. Parameter gradients accumulate on top of what
+    they hold (call ``zero_grads`` first); every other tape node gets a fresh
+    gradient, so a second backward over the same tape repeats the first.
     """
+    if _tape is None:
+        raise RuntimeError("backward needs an open tape")
     if root.data.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.data.shape}")
-    order = _topo_order(root)
-    for node in order:
+    for node in _tape:
         if not isinstance(node, Parameter):
             node.grad = None
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
+    for node in reversed(_tape):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
 
@@ -477,17 +476,19 @@ def grad_check(f, params, eps: float = 1e-5, entries_per_param: int | None = Non
         raise ValueError(f"order must be 2 or 4, got {order}")
     plist = _param_list(params)
     zero_grads(plist)
-    out = f()
-    if not np.isfinite(out.data).all():
-        raise FloatingPointError("grad_check objective is not finite")
-    backward(out)
+    with tape():
+        out = f()
+        if not np.isfinite(out.data).all():
+            raise FloatingPointError("grad_check objective is not finite")
+        backward(out)
     analytic = [p.grad.copy() for p in plist]
 
     def probe(flat, i):
         orig, values = flat[i], []
         for step in (eps, -eps, 2.0 * eps, -2.0 * eps)[:order]:
             flat[i] = orig + step
-            values.append(f().item())
+            with _recording(None):
+                values.append(f().item())
         flat[i] = orig
         lp, lm, *wide = values
         if order == 2:

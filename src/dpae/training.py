@@ -108,10 +108,11 @@ def train_step(x, model, state, config, rng):
     losses = []
     for snr_db, ratio_pad in config.curriculum:
         xp, _ = perturb_patches(x, snr_db, ratio_pad, model.grid, rng)
-        recon, _ = model.reconstruct(xp, train_mode=True, rng=rng)
-        loss = mse_loss(x, recon)
-        T.zero_grads(model.params)
-        T.backward(loss)
+        with T.tape():
+            recon, _ = model.reconstruct(xp, rng)
+            loss = mse_loss(x, recon)
+            T.zero_grads(model.params)
+            T.backward(loss)
         nadam_step(model.params, model.params.grad, state, config.lr_ini)
         losses.append(loss.item())
     return losses

@@ -111,16 +111,20 @@ class TestGenData:
         assert meta["config"]["seed"] == 9
         assert meta["config"]["count"] == 10
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         for doc in ({"bogus": 1}, {"train": {"bogus": 1}},
                     {"heads": {"seed": 3}}, {"shap": {"background": [1]}},
                     {"train": {"lr_ini": "0.002"}}, {"heads": {"tree_count": 2.5}},
                     {"heads": {"lr": True}}, {"shap": {"coalition_samples": 300.5}},
-                    {"train": {"beta1": 0.9}}, {"heads": {"hidden_widths": [8]}}):
+                    {"train": {"beta1": 0.9}}, {"heads": {"hidden_widths": [8]}},
+                    {"size_band": [1]}, {"size_band": 5}, {"size_band": ["a", 2]},
+                    {"seed": 1.5}, {"seed": True}, {"count": "abc"},
+                    {"epochs": 2.0}, {"snr_db": "30"}, {"ratio_pad": "x"}):
             cfg_path.write_text(json.dumps(doc))
             assert run_cli("gen-data", "--config", str(cfg_path),
                            "--out", str(tmp_path / "x")) == 1, doc
+            assert capsys.readouterr().err.startswith("usage error:"), doc
 
     def test_unparsable_config_file_is_usage_error(self, tmp_path, capsys):
         # A config file is user input, not an artifact of an earlier stage.

@@ -311,7 +311,7 @@ class TestDecode:
         x = np.random.default_rng(21).uniform(0, 1, size=(TOY.p, TOY.l))
         rng7 = np.random.default_rng(7)
         patches, mask = enc.perturb_patches(x, 30.0, 0.2, model.grid, rng7)
-        recon, latent = model.reconstruct(patches, train_mode=True, rng=rng7)
+        recon, latent = model.reconstruct(patches, rng7)
 
         rng = np.random.default_rng(7)
         noisy = add_noise(x, 30.0, rng)
@@ -319,12 +319,12 @@ class TestDecode:
         seq = enc.preprocess(xp, model.params)
         for b in range(TOY.depth_enc):
             seq = enc.transformer_block(seq, model.params, f"enc.block{b}", TOY,
-                                        train_mode=True, rng=rng)
+                                        rng)
         class_row = T.slice_rows(seq, 0, 1)
         want_latent = enc.latent_head(enc.lstm_traverse(seq, model.params),
                                       model.params)
         want = dec.decode(want_latent, class_row, model.params, TOY,
-                          model.pe_table, train_mode=True, rng=rng)
+                          model.pe_table, rng)
         assert want_mask.any()
         np.testing.assert_array_equal(mask, want_mask)
         np.testing.assert_array_equal(latent.data, want_latent.data)

@@ -13,11 +13,18 @@ parity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(parity)
 
 
-def record(files, stdout="matmul 1e-10 ok\nworst 1e-10\n", losses=(0.5, 0.25)):
-    """A chain record; losses=None is one written before they were kept."""
+LATENTS = ((0.5, -0.25), (1.0, 2.0))
+
+
+def record(files, stdout="matmul 1e-10 ok\nworst 1e-10\n", losses=(0.5, 0.25),
+           latents=LATENTS):
+    """A chain record; losses=None or latents=None is one written before they
+    were kept."""
     rec = {"files": files, "gradcheck_stdout": stdout}
     if losses is not None:
         rec["losses"] = list(losses)
+    if latents is not None:
+        rec["paper_latents"] = [list(v) for v in latents]
     return rec
 
 
@@ -38,7 +45,15 @@ def test_identical_records_have_no_difference(tmp_path, capsys):
     (record({"x": "1", "y": "2"}, "worst 1e-10\n"),
      ["differs: gradcheck stdout", "--- A", "+++ B", "@@ -1,2 +1 @@",
       "-matmul 1e-10 ok", " worst 1e-10"]),
-], ids=["hash", "missing_in_b", "missing_in_a", "stdout"])
+    (record({"x": "1", "y": "2"}, latents=((0.5, -0.25), (1.0, 2.0 + 2.0 ** -51))),
+     ["differs: paper latents",
+      "  paper latents: largest relative difference 2.22e-16 over 2 vectors"]),
+    (record({"x": "1", "y": "2"}, latents=((0.5, -0.25),)),
+     ["differs: paper latents", "  paper latents: 2 vectors in A, 1 in B"]),
+    (record({"x": "1", "y": "2"}, latents=None),
+     ["differs: paper latents", "  paper latents: not recorded in B"]),
+], ids=["hash", "missing_in_b", "missing_in_a", "stdout", "latents",
+        "latents_shorter", "latents_unrecorded_b"])
 def test_every_difference_is_listed(tmp_path, b, want):
     a = record({"x": "1", "y": "2"})
     assert parity.compare(a, b) == want

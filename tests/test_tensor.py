@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpae import tensor as T
-from dpae.model import DESK_PROFILE, PAPER_PROFILE
+from dpae.model import DESK_PROFILE, DPAE, PAPER_PROFILE
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -58,15 +58,17 @@ class TestMatmul:
         b = T.Parameter(rng.normal(size=(128, 7600)), "b")
         g = rng.normal(size=(1, 7600))
         want = a.data.T @ g
-        T.matmul(a, b)._backward_fn(g)
-        assert b.grad.tobytes() == want.tobytes()
-        T.matmul(a, b)._backward_fn(g)
+        with T.tape():
+            T.matmul(a, b)._backward_fn(g)
+            assert b.grad.tobytes() == want.tobytes()
+            T.matmul(a, b)._backward_fn(g)
         assert b.grad.tobytes() == (want + want).tobytes()
 
     def test_zero_row_product_has_zero_weight_gradient(self):
         a = T.Tensor(np.zeros((0, 3)))
         b = T.Parameter(rand((3, 2), seed=49), "b")
-        T.matmul(a, b)._backward_fn(np.zeros((0, 2)))
+        with T.tape():
+            T.matmul(a, b)._backward_fn(np.zeros((0, 2)))
         np.testing.assert_array_equal(b.grad, np.zeros((3, 2)))
 
     def test_one_row_gradient_vs_finite_differences(self):
@@ -173,35 +175,39 @@ class TestElementwise:
 class TestBackward:
     def test_sum_of_parameter_gives_ones(self):
         w = T.Parameter(rand((3, 2), seed=15), "w")
-        T.backward(sum_all(w))
+        with T.tape():
+            T.backward(sum_all(w))
         np.testing.assert_array_equal(w.grad, np.ones((3, 2)))
 
     def test_quadratic_form(self):
         w = T.Parameter([[1.0, 2.0]], "w")
-        out = sum_all(T.square(w))
-        T.backward(out)
+        with T.tape():
+            out = sum_all(T.square(w))
+            T.backward(out)
         np.testing.assert_allclose(w.grad, [[2.0, 4.0]])
 
     def test_diamond_graph_accumulates_both_paths(self):
         # y = a*a + 3a  =>  dy/da = 2a + 3
         a = T.Parameter([[2.0]], "a")
-        y = T.add(T.square(a), T.matmul(a, T.Tensor([[3.0]])))
-        T.backward(T.mean_all(y))
+        with T.tape():
+            y = T.add(T.square(a), T.matmul(a, T.Tensor([[3.0]])))
+            T.backward(T.mean_all(y))
         np.testing.assert_allclose(a.grad, [[7.0]])
 
     def test_non_scalar_root_rejected(self):
         w = T.Parameter(rand((2, 2), seed=16), "w")
-        with pytest.raises(T.ShapeError):
+        with T.tape(), pytest.raises(T.ShapeError):
             T.backward(T.add(w, w))
 
     def test_backward_twice_deterministic(self):
         w = T.Parameter(rand((4, 4), seed=17), "w")
         v = T.Parameter(rand((4, 4), seed=18), "v")
-        out = T.mean_all(T.square(T.matmul(w, v)))
-        T.backward(out)
-        g1 = (w.grad.copy(), v.grad.copy())
-        T.zero_grads([w, v])
-        T.backward(out)
+        with T.tape():
+            out = T.mean_all(T.square(T.matmul(w, v)))
+            T.backward(out)
+            g1 = (w.grad.copy(), v.grad.copy())
+            T.zero_grads([w, v])
+            T.backward(out)
         np.testing.assert_array_equal(w.grad, g1[0])
         np.testing.assert_array_equal(v.grad, g1[1])
 
@@ -209,8 +215,41 @@ class TestBackward:
         w = T.Parameter(rand((2, 2), seed=19), "w")
         u = T.Parameter(rand((2, 2), seed=20), "u")
         T.zero_grads([w, u])
-        T.backward(T.mean_all(T.square(w)))
+        with T.tape():
+            T.backward(T.mean_all(T.square(w)))
         assert np.all(u.grad == 0.0)
+
+
+class TestTape:
+    def test_nothing_is_recorded_outside_a_tape(self):
+        x = T.Parameter(rand((2, 2), seed=50), "x")
+        assert T.matmul(x, x)._backward_fn is None
+        with T.tape() as nodes:
+            y = T.matmul(x, x)
+        assert y._backward_fn is not None
+        assert len(nodes) == 1 and nodes[0] is y
+        model = DPAE(DESK_PROFILE, seed=0)
+        latent, _ = model.encode(np.zeros((DESK_PROFILE.N, DESK_PROFILE.D)))
+        assert latent._backward_fn is None
+
+    def test_backward_outside_a_tape_raises(self):
+        w = T.Parameter(rand((2, 2), seed=51), "w")
+        with pytest.raises(RuntimeError, match="tape"):
+            T.backward(T.mean_all(T.square(w)))
+
+    def test_grad_check_leaves_the_outer_tape_alone(self):
+        w = T.Parameter(rand((3, 3), seed=52), "w")
+        v = T.Parameter(rand((3, 2), seed=53), "v")
+        with T.tape() as nodes:
+            out = T.mean_all(T.square(T.matmul(w, w)))
+            T.backward(out)
+            before = [(node, node.grad.copy()) for node in nodes]
+            assert T.grad_check(lambda: T.mean_all(T.square(v)), [v]) <= 1e-7
+            assert len(nodes) == len(before)
+            for (node, grad), now in zip(before, nodes):
+                assert now is node and now.grad.tobytes() == grad.tobytes()
+            last = T.square(out)
+        assert nodes[-1] is last
 
 
 class TestStructuralOps:
@@ -236,21 +275,17 @@ class TestStructuralOps:
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = T.Tensor(rand((4, 4), seed=27))
-        out = T.dropout(x, 0.5, train=False)
+        out = T.dropout(x, 0.5, None)
         np.testing.assert_array_equal(out.data, x.data)
         assert out is x
 
     def test_train_mode_preserves_expectation(self):
         rng = np.random.default_rng(28)
         x = T.Tensor(np.ones((200, 200)))
-        out = T.dropout(x, 0.1, train=True, rng=rng)
+        out = T.dropout(x, 0.1, rng)
         kept = out.data[out.data != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.9)
         assert abs(out.data.mean() - 1.0) < 0.01
-
-    def test_train_mode_requires_rng(self):
-        with pytest.raises(ValueError):
-            T.dropout(T.Tensor([[1.0]]), 0.5, train=True)
 
 
 def hex_rows(*rows):
@@ -333,8 +368,9 @@ class TestLstm:
         w_ih = T.Parameter(rng.uniform(-0.5, 0.5, (3, 8)), "w_ih")
         w_hh = T.Parameter(rng.uniform(-0.5, 0.5, (2, 8)), "w_hh")
         b = T.Parameter(rng.uniform(-0.5, 0.5, (1, 8)), "b")
-        out = T.lstm(xs, w_ih, w_hh, b)
-        T.backward(sum_all(T.square(out)))
+        with T.tape():
+            out = T.lstm(xs, w_ih, w_hh, b)
+            T.backward(sum_all(T.square(out)))
         recorded = {
             "out": hex_rows(
                 ("0x1.fb95e721b5af0p-10", "-0x1.b444a544b91cfp-4"),
@@ -514,8 +550,9 @@ class TestAttention:
         qkv = T.Parameter(rng.normal(size=(d, 3 * d)) / np.sqrt(d), "qkv")
         proj = T.Parameter(rng.normal(size=(d, d)) / np.sqrt(d), "proj")
         w = T.Tensor(rng.normal(size=(n, d)))
-        out = T.matmul(T.attention(T.matmul(x, qkv), heads), proj)
-        T.backward(T.mean_all(T.square(T.sub(out, w))))
+        with T.tape():
+            out = T.matmul(T.attention(T.matmul(x, qkv), heads), proj)
+            T.backward(T.mean_all(T.square(T.sub(out, w))))
         return ((out.data, x.grad, qkv.grad, proj.grad),
                 per_head_attention(x.data, qkv.data, proj.data, w.data, heads))
 

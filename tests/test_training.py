@@ -276,10 +276,11 @@ class TestTrainStep:
         model = DPAE(TINY, seed=5)
         rng = np.random.default_rng(6)
         xp, _ = perturb_patches(ds.samples[0].matrix, 30.0, 0.2, model.grid, rng)
-        recon, _ = model.reconstruct(xp, train_mode=True, rng=rng)
-        loss = TR.mse_loss(ds.samples[0].matrix, recon)
-        T.zero_grads(model.params)
-        T.backward(loss)
+        with T.tape():
+            recon, _ = model.reconstruct(xp, rng)
+            loss = TR.mse_loss(ds.samples[0].matrix, recon)
+            T.zero_grads(model.params)
+            T.backward(loss)
         dead = [k for k, p in model.params.items() if not np.abs(p.grad).any()]
         assert dead == []
 
@@ -378,8 +379,9 @@ class TestParameterBuffer:
     def test_backward_and_zero_grads_act_on_the_buffer(self):
         model = DPAE(TINY, seed=5)
         x = tiny_dataset().samples[0].matrix
-        recon, _ = model.reconstruct(D.patchify(x, model.grid))
-        T.backward(TR.mse_loss(x, recon))
+        with T.tape():
+            recon, _ = model.reconstruct(D.patchify(x, model.grid))
+            T.backward(TR.mse_loss(x, recon))
         assert np.array_equal(model.params.grad, np.concatenate(
             [p.grad.ravel() for p in model.params.values()]))
         assert model.params.grad.any()

@@ -10,12 +10,16 @@ explain --band 0.1,100 --coalitions 64 and gradcheck --scope all, all at seed
 0) in a temporary directory, with the `dpae` package from DIR/src; DIR
 defaults to the tree this script is in. It writes the sha256 of every file the
 chain leaves, by path relative to that directory, the text gradcheck prints and
-the loss column of run/loss_history.csv. BLAS runs on one thread.
+the loss column of run/loss_history.csv. It also writes 128 paper-size
+latents: for seeds 0-15, DPAE(PAPER_PROFILE, seed) encodes the first 4
+samples of a normalized 8-sample paper dataset of that seed, each clean
+(`latent_vector`) and then perturbed at (30 dB, 0.2) by `perturb_patches`
+from SeedSequence((seed, 1, i)). BLAS runs on one thread.
 
 `compare` prints every file that differs or is missing on one side, the
 largest relative difference between the two loss columns when the loss history
-differs, and the lines of the gradcheck output that differ; it exits 1 if there
-is any.
+differs, the same for the paper latents when they differ, and the lines of the
+gradcheck output that differ; it exits 1 if there is any.
 
 To check a change against its parent commit, run `run` on a copy of each
 tree (for example `git worktree add ../parent HEAD~1`, then `--repo
@@ -36,6 +40,26 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CKPT = "run/checkpoint_final"
 LOSSES = "run/loss_history.csv"
 SEED = "0"
+
+# Prints the paper latents described above as one JSON list of 128 vectors.
+PAPER_LATENTS = """
+import json
+import numpy as np
+from dpae import data as D
+from dpae.encoder import perturb_patches
+from dpae.model import DPAE, PAPER_PROFILE as P
+vectors = []
+for seed in range(16):
+    model = DPAE(P, seed)
+    ds = D.normalize(D.generate_dataset(8, seed, p=P.p,
+                                        registry=D.registry_for(P.l)))
+    for i, sample in enumerate(ds.samples[:4]):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 1, i)))
+        xp, _ = perturb_patches(sample.matrix, 30.0, 0.2, model.grid, rng)
+        vectors.append(model.latent_vector(sample.matrix).tolist())
+        vectors.append(model.encode(xp)[0].data.reshape(-1).tolist())
+print(json.dumps(vectors))
+"""
 
 CHAIN = (
     ("gen-data", "--out", "data", "--count", "12", "--scale", "desk"),
@@ -60,7 +84,8 @@ CHAIN = (
 
 def run_chain(repo):
     """{"files": {relative path: sha256}, "gradcheck_stdout": text,
-    "losses": the loss column of the training history}."""
+    "losses": the loss column of the training history,
+    "paper_latents": 128 latent vectors}."""
     env = {k: v for k, v in os.environ.items() if k != "DPAE_OUTPUT_ROOT"}
     env["PYTHONPATH"] = os.path.join(os.path.abspath(repo), "src")
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -82,14 +107,20 @@ def run_chain(repo):
         with open(os.path.join(work, LOSSES), newline="") as fh:
             rows = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
             losses = [float(row["loss"]) for row in rows]
+        latents = subprocess.run([sys.executable, "-c", PAPER_LATENTS], cwd=work,
+                                 env=env, capture_output=True, text=True)
+        if latents.returncode != 0:
+            sys.exit(f"paper latents exited {latents.returncode}:\n"
+                     f"{latents.stderr}")
     return {"files": dict(sorted(files.items())),
-            "gradcheck_stdout": proc.stdout, "losses": losses}
+            "gradcheck_stdout": proc.stdout, "losses": losses,
+            "paper_latents": json.loads(latents.stdout)}
 
 
 def compare(a, b):
     """Lines that name each file differing or missing on one side (the loss
-    history with its largest relative loss difference), then the gradcheck
-    output lines that differ."""
+    history with its largest relative loss difference), the paper latents
+    when they differ, then the gradcheck output lines that differ."""
     lines = []
     for path in sorted(a["files"].keys() | b["files"].keys()):
         if path not in b["files"]:
@@ -99,7 +130,12 @@ def compare(a, b):
         elif a["files"][path] != b["files"][path]:
             lines.append(f"differs: {path}")
             if path == LOSSES:
-                lines.append(loss_difference(a.get("losses"), b.get("losses")))
+                lines.append(difference("losses", a.get("losses"),
+                                        b.get("losses"), "rows"))
+    if a.get("paper_latents") != b.get("paper_latents"):
+        lines.append("differs: paper latents")
+        lines.append(difference("paper latents", a.get("paper_latents"),
+                                b.get("paper_latents"), "vectors"))
     if a["gradcheck_stdout"] != b["gradcheck_stdout"]:
         lines.append("differs: gradcheck stdout")
         lines += difflib.unified_diff(
@@ -108,17 +144,20 @@ def compare(a, b):
     return lines
 
 
-def loss_difference(a, b):
-    """The largest |a - b| / max(|a|, |b|) over two loss columns, as a line.
-    A record from before the loss column was kept has None."""
+def difference(label, a, b, unit):
+    """The largest |x - y| / max(|x|, |y|) over two columns of numbers or of
+    vectors, as a line. A record from before the column was kept has None."""
     missing = [side for side, col in (("A", a), ("B", b)) if col is None]
     if missing:
-        return f"  losses: not recorded in {' and '.join(missing)}"
+        return f"  {label}: not recorded in {' and '.join(missing)}"
     if len(a) != len(b):
-        return f"  losses: {len(a)} rows in A, {len(b)} in B"
-    worst = max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y),
+        return f"  {label}: {len(a)} {unit} in A, {len(b)} in B"
+    pairs = [pair for u, v in zip(a, b)
+             for pair in (zip(u, v) if isinstance(u, list) else [(u, v)])]
+    worst = max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y),
                 default=0.0)
-    return f"  losses: largest relative difference {worst:.3g} over {len(a)} rows"
+    return (f"  {label}: largest relative difference {worst:.3g} "
+            f"over {len(a)} {unit}")
 
 
 def main(argv=None):
