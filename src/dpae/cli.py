@@ -87,7 +87,7 @@ class _OutDir:
         os.unlink(self.lock)
 
 
-def _sub_seed(seed, tag, index=0):
+def _sub_seed(seed, tag, index):
     """Deterministic derived integer seed for stream separation."""
     return int(np.random.SeedSequence((seed, tag, index)).generate_state(1)[0])
 
@@ -109,15 +109,15 @@ def _perturbed(cfg, tag, index, x, grid):
 
 
 def _inputs(cfg, tag, dataset, idx, grid):
-    """The p x l matrices of samples `idx`, each perturbed in seed stream `tag`
-    (unperturbed if `tag` is None), and their diagnosis labels."""
-    mats, labels = [], []
+    """The N x D patches of samples `idx`, each perturbed in seed stream `tag`
+    (only patchified if `tag` is None), and their diagnosis labels."""
+    patches, labels = [], []
     for i in idx:
         s = dataset.samples[i]
-        mats.append(s.matrix if tag is None else
-                    D.unpatchify(_perturbed(cfg, tag, i, s.matrix, grid)[0], grid))
+        patches.append(D.patchify(s.matrix, grid) if tag is None else
+                       _perturbed(cfg, tag, i, s.matrix, grid)[0])
         labels.append(H.DiagnosisLabel(s.location, s.size_cm))
-    return mats, labels
+    return patches, labels
 
 
 def _read_latents_csv(path):
@@ -248,9 +248,9 @@ def cmd_extract_latents(args):
     model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
 
-    mats, labels = _inputs(cfg, None if args.clean else _TAG_LATENTS, dataset,
-                           range(len(dataset.samples)), model.grid)
-    Z = np.stack([model.latent_vector(x) for x in mats])
+    patches, labels = _inputs(cfg, None if args.clean else _TAG_LATENTS, dataset,
+                              range(len(dataset.samples)), model.grid)
+    Z = np.concatenate([model.encode(xp)[0].data for xp in patches])
     if not np.isfinite(Z).all():
         raise NumericalFailure("non-finite latent encountered")
 
@@ -290,8 +290,9 @@ def cmd_train_heads(args):
                 raise UsageError("latents row count does not match dataset")
             by_latents = ([Z[i] for i in train_idx], [labels[i] for i in train_idx])
         if not all(on_latents):
-            by_matrices = _inputs(cfg, _TAG_LATENTS, dataset, train_idx,
-                                  cfg.profile().grid())
+            grid = cfg.profile().grid()
+            patches, truth = _inputs(cfg, _TAG_LATENTS, dataset, train_idx, grid)
+            by_matrices = ([D.unpatchify(xp, grid) for xp in patches], truth)
         for (offset, name, fit, task), latent in zip(jobs, on_latents):
             config = H.HeadConfig(seed=_sub_seed(cfg.seed, _TAG_HEAD, offset),
                                   **cfg.heads)
@@ -318,9 +319,9 @@ def cmd_evaluate(args):
         raise UsageError("dataset has no test split")
 
     # One fresh perturbation per sample, shared by both diagnosis routes.
-    mats, labels = _inputs(cfg, _TAG_EVAL, dataset, test_idx, model.grid)
-    Zs = np.stack([model.latent_vector(x) for x in mats])
-    flats = np.stack([x.reshape(-1) for x in mats])
+    patches, labels = _inputs(cfg, _TAG_EVAL, dataset, test_idx, model.grid)
+    Zs = np.concatenate([model.encode(xp)[0].data for xp in patches])
+    flats = np.stack([D.unpatchify(xp, model.grid).reshape(-1) for xp in patches])
     y_cla = np.array([H.CLASS_ORDER.index(lb.location) for lb in labels])
     y_reg = np.array([lb.size_cm for lb in labels])
 
@@ -370,22 +371,14 @@ def cmd_evaluate(args):
 
 
 def cmd_explain(args):
-    cfg = resolve_config(args.config, seed=args.seed)
-    if args.band:
-        lo, hi = (float(v) for v in args.band.split(","))
-        if lo > hi:
-            raise UsageError(
-                f"size band lower bound exceeds upper bound: {args.band}")
-        band = (lo, hi)
-    else:
-        band = cfg.size_band
+    # coalition_samples is the one shap key a config file may set.
+    cfg = resolve_config(args.config, seed=args.seed, size_band=args.band,
+                         shap=None if args.coalitions is None
+                         else {"coalition_samples": args.coalitions})
     model, _ = TR.load_checkpoint(args.model)
-    shap_kwargs = dict(cfg.shap)
-    if args.coalitions is not None:
-        shap_kwargs["coalition_samples"] = args.coalitions
     d = model.profile.latent_dim
     for setting, count, least in (
-            ("--coalitions (or shap.coalition_samples)", shap_kwargs.get(
+            ("--coalitions (or shap.coalition_samples)", cfg.shap.get(
                 "coalition_samples", I.ShapConfig.coalition_samples), d + 2),
             ("--explain-count", args.explain_count, 1),
             ("--background-size", args.background_size, 1)):
@@ -413,8 +406,7 @@ def cmd_explain(args):
     n_explain = min(args.explain_count, len(test_idx))
     chosen = sorted(rng_pick.choice(test_idx, size=n_explain, replace=False))
 
-    shap_cfg = I.ShapConfig(background=background, seed=cfg.seed,
-                            **shap_kwargs)
+    shap_cfg = I.ShapConfig(background=background, seed=cfg.seed, **cfg.shap)
     g_cla = I.classifier_fn(cla)
     g_reg = I.regressor_fn(reg)
     phis_cla, phis_reg = [], []
@@ -423,15 +415,15 @@ def cmd_explain(args):
         phis_reg.append(I.kernel_shap(g_reg, Z[i], shap_cfg).phi)
     phi = I.latent_importance(np.stack(phis_cla), np.stack(phis_reg))
 
-    band_samples = I.select_size_band(dataset, band=band)
+    band_samples = I.select_size_band(dataset, band=cfg.size_band)
     if not band_samples:
         raise NumericalFailure(
-            f"no samples inside the size band [{band[0]}, {band[1]}] cm")
+            f"no samples inside the size band {list(cfg.size_band)} cm")
     report = I.parameter_importance(model, band_samples, phi)
 
     names = [c.node_name for c in dataset.registry]
     stamp = _stamp(cfg, "explain", {
-        "band": list(band),
+        "band": list(cfg.size_band),
         "explained_samples": [int(i) for i in chosen],
         "background_size": bg_count,
         "band_sample_count": len(band_samples),
@@ -628,7 +620,8 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--heads", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--band", default=None, help="size band as lo,hi (cm)")
+    p.add_argument("--band", type=lambda s: [float(v) for v in s.split(",")],
+                   default=None, help="size band as lo,hi (cm)")
     p.add_argument("--explain-count", type=int, default=8)
     p.add_argument("--background-size", type=int, default=64)
     p.add_argument("--coalitions", type=int, default=None)

@@ -9,6 +9,7 @@ CPU core in minutes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .heads import HeadConfig
@@ -46,6 +47,21 @@ def _check_number(label, value, kind):
                          f"got {value!r}")
 
 
+def _check_curriculum(pairs):
+    """Raise ValueError unless pairs is a nonempty list of [snr_db, ratio_pad]
+    numbers with a finite SNR and a pad in [0, 1]."""
+    if not isinstance(pairs, list) or not pairs or any(
+            not isinstance(pair, list) or len(pair) != 2 for pair in pairs):
+        raise ValueError(f"config value train.curriculum must be a nonempty "
+                         f"list of [snr_db, ratio_pad] pairs, got {pairs!r}")
+    for snr, pad in pairs:
+        _check_number("train.curriculum", snr, float)
+        _check_number("train.curriculum", pad, float)
+        if not (math.isfinite(snr) and 0.0 <= pad <= 1.0):
+            raise ValueError(f"config value train.curriculum needs a finite SNR "
+                             f"and a pad in [0, 1], got {[snr, pad]!r}")
+
+
 @dataclass
 class ExperimentConfig:
     scale: str = "desk"
@@ -60,7 +76,7 @@ class ExperimentConfig:
     shap: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scale not in SCALE_PRESETS:
+        if not isinstance(self.scale, str) or self.scale not in SCALE_PRESETS:
             raise ValueError(f"unknown scale {self.scale!r}")
         preset = SCALE_PRESETS[self.scale]
         if self.count is None:
@@ -69,6 +85,8 @@ class ExperimentConfig:
             self.epochs = preset["epochs"]
         for name, kind in TOP_LEVEL_NUMBERS.items():
             _check_number(name, getattr(self, name), kind)
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"config value snr_db is not finite: {self.snr_db}")
         if not isinstance(self.size_band, (list, tuple)) or len(self.size_band) != 2:
             raise ValueError(f"config value size_band must be two numbers, "
                              f"got {self.size_band!r}")
@@ -76,7 +94,8 @@ class ExperimentConfig:
             _check_number("size_band", value, float)
         self.size_band = (float(self.size_band[0]), float(self.size_band[1]))
         if not (self.size_band[0] <= self.size_band[1]):
-            raise ValueError("size band lower bound exceeds upper bound")
+            raise ValueError(f"config value size_band needs lo <= hi, "
+                             f"got {list(self.size_band)}")
         for name, (cls, set_by_cli) in SECTIONS.items():
             section = getattr(self, name)
             if not isinstance(section, dict):
@@ -90,6 +109,8 @@ class ExperimentConfig:
             for key, value in section.items():
                 if type(defaults[key]) in JSON_NUMBERS:
                     _check_number(f"{name}.{key}", value, type(defaults[key]))
+        if "curriculum" in self.train:
+            _check_curriculum(self.train["curriculum"])
 
     def profile(self):
         return PAPER_PROFILE if self.scale == "paper" else DESK_PROFILE

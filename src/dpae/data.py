@@ -25,7 +25,7 @@ import numpy as np
 
 SAMPLE_PERIOD_S = 0.5
 
-# Reference break-size span (cm) anchoring the severity scale.
+# Reference break-size span (cm): the generated sizes and the severity scale.
 _REF_SIZE_LO = 0.1
 _REF_SIZE_HI = 35.1
 
@@ -144,8 +144,6 @@ def compact_registry():
 
 
 def registry_for(num_channels):
-    if num_channels == len(_REGISTRY_ROWS):
-        return default_registry()
     if num_channels == len(_COMPACT_NODE_NAMES):
         return compact_registry()
     if 1 <= num_channels <= len(_REGISTRY_ROWS):
@@ -242,24 +240,21 @@ class PatchGrid:
         return cls(m=m, D=p // m, N=l * m)
 
 
-def generate_dataset(count, seed, size_range=(_REF_SIZE_LO, _REF_SIZE_HI),
-                     split_fraction=0.8, p=200, registry=None):
+def generate_dataset(count, seed, p=200, registry=None):
     """Synthesize `count` labeled transients, deterministically from `seed`.
 
-    Sizes are log-uniform over `size_range`; locations alternate so both
-    classes stay balanced; the train/test split is stratified by location.
+    Sizes are log-uniform over the reference span; locations alternate so
+    both classes stay balanced; the 80/20 train/test split is stratified by
+    location.
     """
-    lo, hi = float(size_range[0]), float(size_range[1])
     if count < 4:
         raise ValueError("count must be at least 4")
-    if not (0.0 < lo < hi):
-        raise ValueError(f"invalid size range [{lo}, {hi}]")
 
     registry = default_registry() if registry is None else registry
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     times = np.arange(p, dtype=np.float64) * SAMPLE_PERIOD_S
 
-    sizes = np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))
+    sizes = np.exp(rng.uniform(np.log(_REF_SIZE_LO), np.log(_REF_SIZE_HI), size=count))
     locations = [
         Location.COLD_LEG if i % 2 == 0 else Location.HOT_LEG
         for i in range(count)
@@ -281,7 +276,7 @@ def generate_dataset(count, seed, size_range=(_REF_SIZE_LO, _REF_SIZE_HI),
     for loc in Location:
         idx = [i for i in range(count) if locations[i] is loc]
         order = rng.permutation(len(idx))
-        n_test = len(idx) - int(round(split_fraction * len(idx)))
+        n_test = len(idx) - int(round(0.8 * len(idx)))
         for j in order[:n_test]:
             split[idx[j]] = "test"
 
@@ -328,8 +323,6 @@ def normalize(dataset):
 
 def add_noise(x, snr_db, rng):
     """Per-channel zero-mean Gaussian noise at the requested SNR (dB)."""
-    if snr_db is None:
-        return x
     if not np.isfinite(x).all():
         raise FloatingPointError("non-finite input to add_noise")
     p_sig = np.mean(np.square(x), axis=0)

@@ -121,8 +121,7 @@ class Forest:
 # shared plumbing
 
 def _as_matrix(vectors):
-    rows = [np.asarray(getattr(v, "data", v), dtype=float).reshape(-1)
-            for v in vectors]
+    rows = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     width = rows[0].size
     if any(r.size != width for r in rows):
         raise ValueError("input vectors differ in length")
@@ -207,8 +206,12 @@ def _network_loss(params, widths, X, y, task):
     return T.mean_all(T.square(T.sub(out, target)))
 
 
-def _fit_network(X, labels, task, widths, config):
+def _fit_network(vectors, labels, task, hidden, config):
+    """Fit a fully connected network of `hidden` widths on flattened vectors."""
+    config = config or HeadConfig()
+    X = _as_matrix(vectors)
     _check_inputs(X, labels, task)
+    widths = (X.shape[1], *hidden, len(CLASS_ORDER) if task == "classify" else 1)
     y = _targets(labels, task)
     rng_split = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     rng_init = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
@@ -244,20 +247,12 @@ def _fit_network(X, labels, task, widths, config):
 
 def fit_mlp_head(latents, labels, config=None, task="classify"):
     """Fit a compact fully connected head on latent vectors."""
-    config = config or HeadConfig(kind="mlp")
-    X = _as_matrix(latents)
-    out_dim = len(CLASS_ORDER) if task == "classify" else 1
-    return _fit_network(X, labels, task, (X.shape[1], *LATENT_HIDDEN, out_dim),
-                        config)
+    return _fit_network(latents, labels, task, LATENT_HIDDEN, config)
 
 
 def fit_end_to_end(samples, labels, config=None, task="classify"):
     """Fit a monolithic network on flattened (perturbed) monitoring matrices."""
-    config = config or HeadConfig(kind="end_to_end_mlp")
-    X = _as_matrix(samples)
-    out_dim = len(CLASS_ORDER) if task == "classify" else 1
-    return _fit_network(X, labels, task,
-                        (X.shape[1], *END_TO_END_HIDDEN, out_dim), config)
+    return _fit_network(samples, labels, task, END_TO_END_HIDDEN, config)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +320,7 @@ def fit_random_forest(latents, labels, config=None, task="classify"):
     Tree i bootstraps and draws features from its own rng, depth first, the
     left subtree first. The trees grow in lock step: each step pops the next
     node off every unfinished tree's stack and scores them together."""
-    config = config or HeadConfig(kind="random_forest")
+    config = config or HeadConfig()
     X = _as_matrix(latents)
     _check_inputs(X, labels, task)
     y = _targets(labels, task)
@@ -399,7 +394,7 @@ def predict(head, x):
     A single vector yields a (2,) probability array or a float; a matrix of
     row vectors yields one row/value per input.
     """
-    arr = np.asarray(getattr(x, "data", x), dtype=float)
+    arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     X = np.atleast_2d(arr)
     width = head.widths[0] if isinstance(head, MlpHead) else head.n_features

@@ -282,18 +282,16 @@ def parameter_importance(model, samples, phi):
                             ranking=ranking)
 
 
-def select_size_band(dataset, band=DEFAULT_SIZE_BAND, split=None):
+def select_size_band(dataset, band=DEFAULT_SIZE_BAND):
     """Matrices of samples whose break size lies inside the band."""
     lo, hi = band
-    idx = range(len(dataset.samples)) if split is None else dataset.indices(split)
-    return [dataset.samples[i].matrix for i in idx
-            if lo <= dataset.samples[i].size_cm <= hi]
+    return [s.matrix for s in dataset.samples if lo <= s.size_cm <= hi]
 
 
 # ---------------------------------------------------------------------------
 # report serialization
 
-def write_importance_report(out_dir, report, node_names, meta=None):
+def write_importance_report(out_dir, report, node_names, meta):
     """importance.json plus a heatmap CSV (rows = channels, cols = regions)."""
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "importance.json"), {
@@ -303,7 +301,7 @@ def write_importance_report(out_dir, report, node_names, meta=None):
             {"channel": i, "node": node_names[i], "psi": report.psi[i]}
             for i in report.ranking
         ],
-        "meta": meta or {},
+        "meta": meta,
     })
     regions = [f"region_{n}" for n in range(report.heatmap.shape[1])]
     write_csv(os.path.join(out_dir, "heatmap.csv"), ["node"] + regions,

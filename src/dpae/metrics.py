@@ -99,7 +99,7 @@ def reconstruction_report(x_clean, x_perturbed, x_re):
     """
     clean = np.asarray(x_clean, dtype=float)
     pert = np.asarray(x_perturbed, dtype=float)
-    re = np.asarray(getattr(x_re, "data", x_re), dtype=float)
+    re = np.asarray(x_re, dtype=float)
     if not (clean.shape == pert.shape == re.shape):
         raise ValueError(
             f"shape mismatch: {clean.shape}, {pert.shape}, {re.shape}")

@@ -297,8 +297,8 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
     return Tensor(out.transpose(1, 0, 2).reshape(n, heads * dh), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Per-row normalization: gain * (x - mean) / sqrt(var + eps) + bias."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization: gain * (x - mean) / sqrt(var + LN_EPS) + bias."""
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm expects a matrix, got shape {x.data.shape}")
     n = x.data.shape[1]
@@ -312,7 +312,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
         )
     mu = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x.data - mu) * inv
 
     def backward(g):

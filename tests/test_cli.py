@@ -120,7 +120,14 @@ class TestGenData:
                     {"train": {"beta1": 0.9}}, {"heads": {"hidden_widths": [8]}},
                     {"size_band": [1]}, {"size_band": 5}, {"size_band": ["a", 2]},
                     {"seed": 1.5}, {"seed": True}, {"count": "abc"},
-                    {"epochs": 2.0}, {"snr_db": "30"}, {"ratio_pad": "x"}):
+                    {"epochs": 2.0}, {"snr_db": "30"}, {"ratio_pad": "x"},
+                    {"scale": []}, {"snr_db": float("nan")},
+                    {"train": {"curriculum": 5}}, {"train": {"curriculum": []}},
+                    {"train": {"curriculum": [[20, "x"]]}},
+                    {"train": {"curriculum": [["a", 0.2]]}},
+                    {"train": {"curriculum": [[None, 0.2]]}},
+                    {"train": {"curriculum": [[20, 1.5]]}},
+                    {"train": {"curriculum": [[20, 0.2, 1]]}}):
             cfg_path.write_text(json.dumps(doc))
             assert run_cli("gen-data", "--config", str(cfg_path),
                            "--out", str(tmp_path / "x")) == 1, doc
@@ -369,6 +376,8 @@ class TestExplain:
         doc = read_json(os.path.join(exp, "importance.json"))
         assert doc["meta"]["band"] == [2.0, 60.0]
         assert doc["meta"]["config"]["seed"] == int(SEED)
+        assert doc["meta"]["config"]["size_band"] == [2.0, 60.0]
+        assert doc["meta"]["config"]["shap"] == {"coalition_samples": 40}
 
     def test_empty_band_is_numerical_failure(self, ws, tmp_path):
         assert run_cli("explain", "--model", ws.ckpt, "--data", ws.data,
@@ -576,10 +585,23 @@ class TestExitCodesAndLocking:
         assert capsys.readouterr().err.startswith("i/o error:")
 
     def test_malformed_band_is_usage_error(self, ws, tmp_path):
-        for band in ("abc", "14,6"):
+        for band in ("abc", "14,6", "nan,1"):
             assert run_cli("explain", "--model", ws.ckpt, "--data", ws.data,
                            "--heads", ws.heads, "--out", str(tmp_path / "e"),
                            "--band", band, "--seed", SEED) == 1, band
+
+    def test_non_finite_snr_fails_before_the_dataset_loads(
+            self, ws, tmp_path, capsys, monkeypatch):
+        def load_dataset(path):
+            raise AssertionError("the command loaded the dataset")
+
+        monkeypatch.setattr(cli.D, "load_dataset", load_dataset)
+        for command, extra in (("reconstruct", []), ("extract-latents", []),
+                               ("evaluate", ["--heads", ws.heads])):
+            assert run_cli(command, "--model", ws.ckpt, "--data", ws.data,
+                           "--out", str(tmp_path / "o"), "--snr", "nan",
+                           *extra, "--seed", SEED) == 1, command
+            assert capsys.readouterr().err.startswith("usage error:"), command
 
 
 class TestOutputRoot:

@@ -341,14 +341,6 @@ class TestSizeBand:
         for a, b in zip(chosen, expected):
             np.testing.assert_array_equal(a, b)
 
-    def test_split_filter(self):
-        from dpae import data as D
-        ds = D.generate_dataset(16, seed=27, p=TINY.p,
-                                registry=D.registry_for(TINY.l))
-        full_band = (0.0, 100.0)
-        train_only = I.select_size_band(ds, band=full_band, split="train")
-        assert len(train_only) == len(ds.indices("train"))
-
 
 class TestReportSerialization:
     def test_roundtrip(self, tmp_path):

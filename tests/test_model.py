@@ -202,8 +202,7 @@ class TestEncode:
         model = toy_model(seed=17)
         grid = model.grid
         x = np.random.default_rng(13).uniform(0, 1, size=(TOY.p, TOY.l))
-        _, mask = enc.perturb_patches(x, None, 0.5, grid,
-                                      np.random.default_rng(99))
+        _, mask = mask_patches(patchify(x, grid), 0.5, np.random.default_rng(99))
 
         # Rebuild a matrix differing only inside the masked patches.
         xp = patchify(x, grid)
@@ -215,8 +214,8 @@ class TestEncode:
             for j in range(grid.m):
                 x2[j * grid.D:(j + 1) * grid.D, i] = xp2[i * grid.m + j]
 
-        p1, m1 = enc.perturb_patches(x, None, 0.5, grid, np.random.default_rng(99))
-        p2, m2 = enc.perturb_patches(x2, None, 0.5, grid, np.random.default_rng(99))
+        p1, m1 = mask_patches(patchify(x, grid), 0.5, np.random.default_rng(99))
+        p2, m2 = mask_patches(patchify(x2, grid), 0.5, np.random.default_rng(99))
         a, _ = model.encode(p1)
         b, _ = model.encode(p2)
         np.testing.assert_array_equal(m1, m2)
