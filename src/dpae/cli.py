@@ -158,10 +158,9 @@ def cmd_gen_data(args):
     cfg = resolve_config(args.config, scale=args.scale, seed=args.seed,
                          count=args.count)
     profile = cfg.profile()
+    dataset = D.normalize(D.generate_dataset(
+        cfg.count, seed=cfg.seed, p=profile.p, registry=D.registry_for(profile.l)))
     with _OutDir(args.out) as out:
-        dataset = D.generate_dataset(cfg.count, seed=cfg.seed, p=profile.p,
-                                     registry=D.registry_for(profile.l))
-        dataset = D.normalize(dataset)
         D.save_dataset(dataset, out, meta=_stamp(cfg, "gen-data"))
     print(f"wrote {len(dataset.samples)} samples to {out}")
     return 0
@@ -281,18 +280,18 @@ def cmd_train_heads(args):
 
     dataset = D.load_dataset(args.data)
     train_idx = dataset.indices("train")
-    reports = {}
+    if any(on_latents):
+        Z, labels = _read_latents_csv(args.latents)
+        if len(labels) != len(dataset.samples):
+            raise UsageError("latents row count does not match dataset")
+        by_latents = ([Z[i] for i in train_idx], [labels[i] for i in train_idx])
+    if not all(on_latents):
+        grid = cfg.profile().grid()
+        patches, truth = _inputs(cfg, _TAG_LATENTS, dataset, train_idx, grid)
+        by_matrices = ([D.unpatchify(xp, grid) for xp in patches], truth)
 
+    reports = {}
     with _OutDir(args.out) as out:
-        if any(on_latents):
-            Z, labels = _read_latents_csv(args.latents)
-            if len(labels) != len(dataset.samples):
-                raise UsageError("latents row count does not match dataset")
-            by_latents = ([Z[i] for i in train_idx], [labels[i] for i in train_idx])
-        if not all(on_latents):
-            grid = cfg.profile().grid()
-            patches, truth = _inputs(cfg, _TAG_LATENTS, dataset, train_idx, grid)
-            by_matrices = ([D.unpatchify(xp, grid) for xp in patches], truth)
         for (offset, name, fit, task), latent in zip(jobs, on_latents):
             config = H.HeadConfig(seed=_sub_seed(cfg.seed, _TAG_HEAD, offset),
                                   **cfg.heads)
@@ -329,8 +328,7 @@ def cmd_evaluate(args):
     for name, head in heads.items():
         X = flats if name.startswith("e2e") else Zs
         if name.endswith("_cla"):
-            probs = np.atleast_2d(H.predict(head, X))
-            pred = np.argmax(probs, axis=1)
+            pred = np.argmax(H.predict(head, X), axis=1)
             counts = M.confusion_matrix(y_cla.tolist(), pred.tolist(), 2)
             per_class = {}
             for cls_idx, loc in enumerate(H.CLASS_ORDER):
@@ -347,8 +345,7 @@ def cmd_evaluate(args):
                 "per_class": per_class,
             }
         else:
-            pred = np.atleast_1d(H.predict(head, X))
-            results[name] = {"rmse": M.rmse(pred, y_reg)}
+            results[name] = {"rmse": M.rmse(H.predict(head, X), y_reg)}
 
     payload = {
         **_stamp(cfg, "evaluate", {
@@ -429,7 +426,16 @@ def cmd_explain(args):
         "band_sample_count": len(band_samples),
     })
     with _OutDir(args.out) as out:
-        I.write_importance_report(out, report, names, meta=stamp)
+        D.write_json(os.path.join(out, "importance.json"), {
+            "phi": report.phi,
+            "psi": report.psi,
+            "ranking": [{"channel": m, "node": names[m], "psi": report.psi[m]}
+                        for m in report.ranking],
+            "meta": stamp,
+        })
+        regions = [f"region_{n}" for n in range(report.heatmap.shape[1])]
+        D.write_csv(os.path.join(out, "heatmap.csv"), ["node"] + regions,
+                    ([name, *row] for name, row in zip(names, report.heatmap)))
         D.write_csv(os.path.join(out, "phi.csv"), ["latent_index", "phi"],
                     enumerate(report.phi), config=stamp["config"])
         rank_of = {ch: r for r, ch in enumerate(report.ranking)}

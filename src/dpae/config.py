@@ -9,18 +9,20 @@ CPU core in minutes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 from .heads import HeadConfig
-from .interpret import DEFAULT_SIZE_BAND, ShapConfig
+from .interpret import ShapConfig
 from .model import DESK_PROFILE, PAPER_PROFILE
-from .training import TrainConfig
+from .training import TrainConfig, check_setting
 
 SCALE_PRESETS = {
     "paper": {"count": 356, "epochs": 1000},
     "desk": {"count": 64, "epochs": 150},
 }
+
+# Analysis window for the channel-importance cascade (break sizes, cm).
+DEFAULT_SIZE_BAND = (9.1, 9.7)
 
 # Each free-form section feeds one dataclass, minus the fields the command
 # line sets itself and HeadConfig.kind, which nothing reads.
@@ -49,7 +51,7 @@ def _check_number(label, value, kind):
 
 def _check_curriculum(pairs):
     """Raise ValueError unless pairs is a nonempty list of [snr_db, ratio_pad]
-    numbers with a finite SNR and a pad in [0, 1]."""
+    numbers; TrainConfig checks their range."""
     if not isinstance(pairs, list) or not pairs or any(
             not isinstance(pair, list) or len(pair) != 2 for pair in pairs):
         raise ValueError(f"config value train.curriculum must be a nonempty "
@@ -57,9 +59,6 @@ def _check_curriculum(pairs):
     for snr, pad in pairs:
         _check_number("train.curriculum", snr, float)
         _check_number("train.curriculum", pad, float)
-        if not (math.isfinite(snr) and 0.0 <= pad <= 1.0):
-            raise ValueError(f"config value train.curriculum needs a finite SNR "
-                             f"and a pad in [0, 1], got {[snr, pad]!r}")
 
 
 @dataclass
@@ -85,8 +84,7 @@ class ExperimentConfig:
             self.epochs = preset["epochs"]
         for name, kind in TOP_LEVEL_NUMBERS.items():
             _check_number(name, getattr(self, name), kind)
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"config value snr_db is not finite: {self.snr_db}")
+        check_setting("perturbation setting", self.snr_db, self.ratio_pad)
         if not isinstance(self.size_band, (list, tuple)) or len(self.size_band) != 2:
             raise ValueError(f"config value size_band must be two numbers, "
                              f"got {self.size_band!r}")
@@ -111,6 +109,9 @@ class ExperimentConfig:
                     _check_number(f"{name}.{key}", value, type(defaults[key]))
         if "curriculum" in self.train:
             _check_curriculum(self.train["curriculum"])
+        # The sections' own range checks, before any command reads a dataset.
+        TrainConfig(**self.train)
+        HeadConfig(**self.heads)
 
     def profile(self):
         return PAPER_PROFILE if self.scale == "paper" else DESK_PROFILE

@@ -18,7 +18,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -127,29 +127,17 @@ _COMPACT_NODE_NAMES = [
 ]
 
 
-def default_registry():
-    """Full 38-channel registry."""
-    return tuple(
-        ChannelSpec(i, name, desc, tpl, loc_s, size_s)
-        for i, (name, desc, tpl, loc_s, size_s) in enumerate(_REGISTRY_ROWS)
-    )
-
-
-def compact_registry():
-    """Eight-channel registry spanning every response template."""
-    by_name = {row[0]: row for row in _REGISTRY_ROWS}
-    return tuple(
-        ChannelSpec(i, *by_name[name]) for i, name in enumerate(_COMPACT_NODE_NAMES)
-    )
-
-
 def registry_for(num_channels):
+    """The eight-channel registry spanning every response template, or the
+    first `num_channels` channels of the full 38-channel one."""
     if num_channels == len(_COMPACT_NODE_NAMES):
-        return compact_registry()
-    if 1 <= num_channels <= len(_REGISTRY_ROWS):
-        full = default_registry()
-        return tuple(replace(c, index=i) for i, c in enumerate(full[:num_channels]))
-    raise ValueError(f"no registry with {num_channels} channels")
+        by_name = {row[0]: row for row in _REGISTRY_ROWS}
+        rows = [by_name[name] for name in _COMPACT_NODE_NAMES]
+    elif 1 <= num_channels <= len(_REGISTRY_ROWS):
+        rows = _REGISTRY_ROWS[:num_channels]
+    else:
+        raise ValueError(f"no registry with {num_channels} channels")
+    return tuple(ChannelSpec(i, *row) for i, row in enumerate(rows))
 
 
 def severity(size_cm):
@@ -240,7 +228,7 @@ class PatchGrid:
         return cls(m=m, D=p // m, N=l * m)
 
 
-def generate_dataset(count, seed, p=200, registry=None):
+def generate_dataset(count, seed, p, registry):
     """Synthesize `count` labeled transients, deterministically from `seed`.
 
     Sizes are log-uniform over the reference span; locations alternate so
@@ -250,7 +238,6 @@ def generate_dataset(count, seed, p=200, registry=None):
     if count < 4:
         raise ValueError("count must be at least 4")
 
-    registry = default_registry() if registry is None else registry
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     times = np.arange(p, dtype=np.float64) * SAMPLE_PERIOD_S
 

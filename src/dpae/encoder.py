@@ -75,11 +75,9 @@ def init_encoder_params(profile, rng):
     return init_dense(arrays, "enc.latent.", widths, rng)
 
 
-def preprocess(xp_masked, params):
-    """Prepend the class-token row, then add the positional table."""
-    if not isinstance(xp_masked, T.Tensor):
-        xp_masked = T.Tensor(xp_masked)
-    seq = T.concat_rows([params["enc.class_token"], xp_masked])
+def preprocess(xp, params):
+    """Prepend the class-token row to N x D patches, then add the positional table."""
+    seq = T.concat_rows([params["enc.class_token"], T.Tensor(xp)])
     return T.add(seq, params["enc.pos_encoding"])
 
 

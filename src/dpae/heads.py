@@ -162,7 +162,7 @@ def _stratified_split(labels, val_fraction, rng):
     return sorted(train_idx), sorted(val_idx)
 
 
-def early_stop_epoch(val_losses, window=20, threshold=0.01):
+def early_stop_epoch(val_losses, window, threshold):
     """First epoch (1-based) at which fitting should stop, else None.
 
     Stops once the best-so-far validation loss has improved by less than
@@ -193,8 +193,7 @@ def _fit_metrics(head, X, y, **splits):
 # fully connected heads
 
 def _network_forward(params, widths, X):
-    return dense(T.Tensor(np.atleast_2d(np.asarray(X, dtype=float))), params,
-                 "", len(widths) - 1)
+    return dense(T.Tensor(X), params, "", len(widths) - 1)
 
 
 def _network_loss(params, widths, X, y, task):

@@ -10,16 +10,11 @@ yielding a per-channel importance vector and heatmap.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import write_csv, write_json
 from .heads import predict
-
-# Analysis window for the channel-importance cascade (break sizes, cm).
-DEFAULT_SIZE_BAND = (9.1, 9.7)
 
 _EXACT_LIMIT = 15
 _COND_LIMIT = 1e12
@@ -59,15 +54,11 @@ class ImportanceReport:
 
 def classifier_fn(head):
     """g(X): per row, the probability of the hot leg (CLASS_ORDER[1])."""
-    def g(X):
-        return np.atleast_2d(predict(head, np.atleast_2d(X)))[:, 1]
-    return g
+    return lambda X: predict(head, X)[:, 1]
 
 
 def regressor_fn(head):
-    def g(X):
-        return np.atleast_1d(predict(head, np.atleast_2d(X)))
-    return g
+    return lambda X: predict(head, X)
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +273,7 @@ def parameter_importance(model, samples, phi):
                             ranking=ranking)
 
 
-def select_size_band(dataset, band=DEFAULT_SIZE_BAND):
+def select_size_band(dataset, band):
     """Matrices of samples whose break size lies inside the band."""
     lo, hi = band
     return [s.matrix for s in dataset.samples if lo <= s.size_cm <= hi]
-
-
-# ---------------------------------------------------------------------------
-# report serialization
-
-def write_importance_report(out_dir, report, node_names, meta):
-    """importance.json plus a heatmap CSV (rows = channels, cols = regions)."""
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "importance.json"), {
-        "phi": report.phi,
-        "psi": report.psi,
-        "ranking": [
-            {"channel": i, "node": node_names[i], "psi": report.psi[i]}
-            for i in report.ranking
-        ],
-        "meta": meta,
-    })
-    regions = [f"region_{n}" for n in range(report.heatmap.shape[1])]
-    write_csv(os.path.join(out_dir, "heatmap.csv"), ["node"] + regions,
-              ([name, *row] for name, row in zip(node_names, report.heatmap)))

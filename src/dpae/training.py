@@ -31,6 +31,14 @@ BETA1, BETA2, EPS, MOMENTUM_DECAY = 0.9, 0.999, 1e-8, 4e-3
 NADAM_BLOCK = 1 << 15
 
 
+def check_setting(label, snr_db, ratio_pad):
+    """Raise ValueError unless a perturbation setting has a finite SNR and a
+    pad in [0, 1]."""
+    if not (np.isfinite(snr_db) and 0.0 <= ratio_pad <= 1.0):
+        raise ValueError(f"{label} needs a finite snr_db and a ratio_pad in "
+                         f"[0, 1], got {[snr_db, ratio_pad]!r}")
+
+
 @dataclass
 class TrainConfig:
     lr_ini: float = 1e-3
@@ -44,8 +52,11 @@ class TrainConfig:
         if not self.curriculum:
             raise ValueError("curriculum must not be empty")
         for snr, pad in self.curriculum:
-            if not (0.0 <= pad <= 1.0):
-                raise ValueError(f"ratio_pad {pad} outside [0, 1]")
+            check_setting("curriculum setting", snr, pad)
+        if not (0.0 < self.lr_ini < float("inf")):
+            raise ValueError("lr_ini must be positive and finite")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must not be negative")
 
 
 class NAdamState:

@@ -52,7 +52,7 @@ def _perturb(x, snr_db, ratio_pad, grid, rng):
 
 @pytest.fixture(scope="session")
 def desk_run():
-    registry = list(D.compact_registry())
+    registry = list(D.registry_for(8))
     for i in ZERO_SENS_CHANNELS:
         registry[i] = replace(registry[i], location_sensitivity=0.0,
                               size_sensitivity=0.0)
@@ -306,7 +306,7 @@ def test_criterion_6_paper_scale_structure():
     x = rng.uniform(0.0, 1.0, size=(profile.p, profile.l))
     xp = D.patchify(x, grid)
     model = DPAE(profile, seed=0)
-    pre = preprocess(T.Tensor(xp), model.params)
+    pre = preprocess(xp, model.params)
     latent, class_row = model.encode(xp)
     recon = model.decode(latent, class_row)
     curriculum = [tuple(pair) for pair in TR.DEFAULT_CURRICULUM]

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import dpae.cli as cli
+import dpae.data as D
 import dpae.heads as H
 from dpae.model import DESK_PROFILE
 
@@ -127,11 +128,16 @@ class TestGenData:
                     {"train": {"curriculum": [["a", 0.2]]}},
                     {"train": {"curriculum": [[None, 0.2]]}},
                     {"train": {"curriculum": [[20, 1.5]]}},
-                    {"train": {"curriculum": [[20, 0.2, 1]]}}):
+                    {"train": {"curriculum": [[20, 0.2, 1]]}},
+                    {"train": {"lr_ini": -0.001}}, {"train": {"lr_ini": 0}},
+                    {"train": {"checkpoint_interval": -3}}, {"ratio_pad": 2},
+                    {"ratio_pad": -0.1}, {"heads": {"tree_count": 0}},
+                    {"count": 3}):
             cfg_path.write_text(json.dumps(doc))
             assert run_cli("gen-data", "--config", str(cfg_path),
                            "--out", str(tmp_path / "x")) == 1, doc
             assert capsys.readouterr().err.startswith("usage error:"), doc
+            assert not os.path.exists(tmp_path / "x"), doc
 
     def test_unparsable_config_file_is_usage_error(self, tmp_path, capsys):
         # A config file is user input, not an artifact of an earlier stage.
@@ -351,12 +357,16 @@ class TestExplain:
         values = [float(r[1]) for r in rows[1:]]
         assert len(values) == DESK_PROFILE.latent_dim
         assert abs(sum(values) - 1.0) < 1e-9
+        assert read_json(os.path.join(exp, "importance.json"))["phi"] == values
 
     def test_psi_covers_every_channel_with_ranks(self, exp):
         rows = read_csv_rows(os.path.join(exp, "psi.csv"))[1:]
         assert len(rows) == DESK_PROFILE.l
         assert sorted(int(r[2]) for r in rows) == list(
             range(DESK_PROFILE.l))
+        doc = read_json(os.path.join(exp, "importance.json"))
+        rank0 = next(r[0] for r in rows if r[2] == "0")
+        assert doc["ranking"][0]["node"] == rank0
 
     def test_heatmap_dimensions(self, exp):
         rows = read_csv_rows(os.path.join(exp, "heatmap.csv"))
@@ -364,6 +374,9 @@ class TestExplain:
         regions = DESK_PROFILE.p // region_len
         assert len(rows) == DESK_PROFILE.l + 1
         assert len(rows[1]) == regions + 1
+        assert rows[0] == ["node"] + [f"region_{n}" for n in range(regions)]
+        assert [r[0] for r in rows[1:]] == [
+            c.node_name for c in D.registry_for(DESK_PROFILE.l)]
 
     def test_top_channel_traces_written(self, exp):
         tops = [f for f in os.listdir(exp) if f.startswith("top")]
@@ -583,6 +596,7 @@ class TestExitCodesAndLocking:
             argv += ["--heads", str(copy / "heads")]
         assert run_cli(*argv) == 3
         assert capsys.readouterr().err.startswith("i/o error:")
+        assert not os.path.exists(tmp_path / "out")
 
     def test_malformed_band_is_usage_error(self, ws, tmp_path):
         for band in ("abc", "14,6", "nan,1"):
@@ -598,10 +612,13 @@ class TestExitCodesAndLocking:
         monkeypatch.setattr(cli.D, "load_dataset", load_dataset)
         for command, extra in (("reconstruct", []), ("extract-latents", []),
                                ("evaluate", ["--heads", ws.heads])):
-            assert run_cli(command, "--model", ws.ckpt, "--data", ws.data,
-                           "--out", str(tmp_path / "o"), "--snr", "nan",
-                           *extra, "--seed", SEED) == 1, command
-            assert capsys.readouterr().err.startswith("usage error:"), command
+            for flag, value in (("--snr", "nan"), ("--pad", "2"),
+                                ("--pad", "nan")):
+                assert run_cli(command, "--model", ws.ckpt, "--data", ws.data,
+                               "--out", str(tmp_path / "o"), flag, value,
+                               *extra, "--seed", SEED) == 1, (command, flag)
+                assert capsys.readouterr().err.startswith("usage error:"), \
+                    (command, flag)
 
 
 class TestOutputRoot:

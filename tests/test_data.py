@@ -14,12 +14,12 @@ from dpae.encoder import perturb_patches
 
 class TestRegistry:
     def test_exactly_38_channels(self):
-        reg = D.default_registry()
+        reg = D.registry_for(38)
         assert len(reg) == 38
         assert [c.index for c in reg] == list(range(38))
 
     def test_expected_node_names_present(self):
-        names = {c.node_name for c in D.default_registry()}
+        names = {c.node_name for c in D.registry_for(38)}
         expected = {
             "tempf_505010000", "mflowj_505010000", "cntrlvar_11",
             "mflowj_566010000", "mflowj_537000000", "p_540010000",
@@ -37,12 +37,12 @@ class TestRegistry:
         assert names == expected
 
     def test_sensitivities_in_unit_interval(self):
-        for c in D.default_registry():
+        for c in D.registry_for(38):
             assert 0.0 <= c.location_sensitivity <= 1.0
             assert 0.0 <= c.size_sensitivity <= 1.0
 
     def test_compact_registry_covers_all_templates(self):
-        reg = D.compact_registry()
+        reg = D.registry_for(8)
         assert len(reg) == 8
         assert {c.response_template for c in reg} == set(D.ResponseTemplate)
 
@@ -56,28 +56,29 @@ class TestRegistry:
 
 class TestGenerate:
     def test_full_count_and_size_range(self):
-        ds = D.generate_dataset(356, seed=7)
+        ds = D.generate_dataset(356, seed=7, p=200,
+                                registry=D.registry_for(38))
         assert len(ds.samples) == 356
         sizes = np.array([s.size_cm for s in ds.samples])
         assert sizes.min() >= 0.1 and sizes.max() <= 35.1
         assert ds.samples[0].matrix.shape == (200, 38)
 
     def test_same_seed_bit_identical(self):
-        a = D.generate_dataset(8, seed=11, p=40, registry=D.compact_registry())
-        b = D.generate_dataset(8, seed=11, p=40, registry=D.compact_registry())
+        a = D.generate_dataset(8, seed=11, p=40, registry=D.registry_for(8))
+        b = D.generate_dataset(8, seed=11, p=40, registry=D.registry_for(8))
         for sa, sb in zip(a.samples, b.samples):
             np.testing.assert_array_equal(sa.matrix, sb.matrix)
             assert sa.size_cm == sb.size_cm and sa.location == sb.location
         assert a.split == b.split
 
     def test_locations_balanced(self):
-        ds = D.generate_dataset(20, seed=3, p=40, registry=D.compact_registry())
+        ds = D.generate_dataset(20, seed=3, p=40, registry=D.registry_for(8))
         locs = [s.location for s in ds.samples]
         assert locs.count(D.Location.COLD_LEG) == 10
         assert locs.count(D.Location.HOT_LEG) == 10
 
     def test_split_fraction_respected_per_location(self):
-        ds = D.generate_dataset(40, seed=5, p=40, registry=D.compact_registry())
+        ds = D.generate_dataset(40, seed=5, p=40, registry=D.registry_for(8))
         for loc in D.Location:
             idx = [i for i, s in enumerate(ds.samples) if s.location is loc]
             n_train = sum(1 for i in idx if ds.split[i] == "train")
@@ -85,7 +86,7 @@ class TestGenerate:
 
     def test_settled_decay_values_separate_sizes(self):
         spec = next(
-            c for c in D.default_registry() if c.node_name == "p_155010000"
+            c for c in D.registry_for(38) if c.node_name == "p_155010000"
         )
         t_end = np.array([99.5])
         u1 = D.channel_response(spec, t_end, 1.0, D.Location.COLD_LEG)[0]
@@ -94,12 +95,12 @@ class TestGenerate:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            D.generate_dataset(2, seed=0)
+            D.generate_dataset(2, seed=0, p=40, registry=D.registry_for(8))
 
 
 class TestNormalize:
     def _tiny(self, seed=13):
-        return D.generate_dataset(8, seed=seed, p=40, registry=D.compact_registry())
+        return D.generate_dataset(8, seed=seed, p=40, registry=D.registry_for(8))
 
     def test_midpoint_maps_to_half(self):
         out = D.normalize_matrix(
@@ -255,7 +256,7 @@ class TestMasking:
 
 class TestDiskFormat:
     def test_save_load_roundtrip_bit_exact(self, tmp_path):
-        ds = D.generate_dataset(6, seed=21, p=40, registry=D.compact_registry())
+        ds = D.generate_dataset(6, seed=21, p=40, registry=D.registry_for(8))
         norm = D.normalize(ds)
         D.save_dataset(norm, tmp_path)
         back = D.load_dataset(tmp_path)
@@ -273,7 +274,7 @@ class TestDiskFormat:
         ]
 
     def test_csv_header_is_node_names(self, tmp_path):
-        ds = D.generate_dataset(4, seed=22, p=40, registry=D.compact_registry())
+        ds = D.generate_dataset(4, seed=22, p=40, registry=D.registry_for(8))
         D.save_dataset(ds, tmp_path)
         first = (tmp_path / "sample_0000.csv").read_text().splitlines()[0]
         assert first.split(",") == [c.node_name for c in ds.registry]
@@ -375,7 +376,7 @@ def test_only_the_artifact_layer_reads_and_writes_json_and_csv():
 
 
 def test_perturb_patches_matches_hand_composition():
-    ds = D.generate_dataset(4, seed=23, p=40, registry=D.compact_registry())
+    ds = D.generate_dataset(4, seed=23, p=40, registry=D.registry_for(8))
     x = D.normalize(ds).samples[0].matrix
     grid = D.PatchGrid.for_shape(40, 8, 4)
     patches, mask = perturb_patches(x, 20.0, 0.25, grid,

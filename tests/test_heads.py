@@ -54,21 +54,21 @@ class TestLabelAndConfig:
 
 class TestEarlyStop:
     def test_flat_curve_stops_after_window(self):
-        assert H.early_stop_epoch([1.0] * 30, window=20) == 21
+        assert H.early_stop_epoch([1.0] * 30, window=20, threshold=0.01) == 21
 
     def test_fast_decay_never_stops(self):
         curve = [2.0 ** -e for e in range(30)]
-        assert H.early_stop_epoch(curve, window=20) is None
+        assert H.early_stop_epoch(curve, window=20, threshold=0.01) is None
 
     def test_injected_plateau(self):
         patience = 10
         curve = [1.0 - 0.05 * i for i in range(patience)] + [0.55] * 40
-        stop = H.early_stop_epoch(curve, window=20)
+        stop = H.early_stop_epoch(curve, window=20, threshold=0.01)
         assert stop == 20 + patience
         assert stop <= 20 + patience
 
     def test_short_curve_returns_none(self):
-        assert H.early_stop_epoch([1.0] * 5, window=20) is None
+        assert H.early_stop_epoch([1.0] * 5, window=20, threshold=0.01) is None
 
 
 class TestMlpClassify:

@@ -1,7 +1,5 @@
 """Interpretation oracles: Shapley axioms, kernel fit, ablation cascade."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -341,23 +339,3 @@ class TestSizeBand:
         for a, b in zip(chosen, expected):
             np.testing.assert_array_equal(a, b)
 
-
-class TestReportSerialization:
-    def test_roundtrip(self, tmp_path):
-        report = I.ImportanceReport(
-            phi=np.array([0.6, 0.4]),
-            omega=np.ones((2, 3, 2)),
-            heatmap=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
-            psi=np.array([6.0, 15.0]),
-            ranking=[1, 0],
-        )
-        names = ["node_a", "node_b"]
-        I.write_importance_report(tmp_path, report, names,
-                                  meta={"seed": 0})
-        doc = json.loads((tmp_path / "importance.json").read_text())
-        assert doc["ranking"][0]["node"] == "node_b"
-        assert doc["phi"] == [0.6, 0.4]
-        lines = (tmp_path / "heatmap.csv").read_text().splitlines()
-        assert lines[0] == "node,region_0,region_1,region_2"
-        assert lines[1].startswith("node_a,")
-        assert len(lines) == 3

@@ -35,7 +35,20 @@ def test_identical_records_have_no_difference(tmp_path, capsys):
     assert parity.main(["compare", str(tmp_path / "a.json"),
                         str(tmp_path / "b.json")]) == 0
     assert capsys.readouterr().out == \
-        "2 of 2 files identical; gradcheck stdout identical\n"
+        "2 of 2 files identical; gradcheck stdout identical; " \
+        "loss column identical; paper latents identical\n"
+
+
+def test_last_line_says_what_differs(tmp_path, capsys):
+    a = record({"x": "1", "y": "2"})
+    b = record({"x": "1", "y": "3"}, losses=(0.5, 0.2), latents=None)
+    (tmp_path / "a.json").write_text(json.dumps(a))
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    assert parity.main(["compare", str(tmp_path / "a.json"),
+                        str(tmp_path / "b.json")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "1 of 2 files identical; gradcheck stdout identical; " \
+        "loss column different; paper latents not recorded"
 
 
 @pytest.mark.parametrize("b, want", [

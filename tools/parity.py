@@ -7,19 +7,22 @@
 epochs, reconstruct --passthrough, reconstruct --index 3 --snr 25 --pad 0.4,
 extract-latents with and without --clean, train-heads --head all, evaluate,
 explain --band 0.1,100 --coalitions 64 and gradcheck --scope all, all at seed
-0) in a temporary directory, with the `dpae` package from DIR/src; DIR
-defaults to the tree this script is in. It writes the sha256 of every file the
-chain leaves, by path relative to that directory, the text gradcheck prints and
-the loss column of run/loss_history.csv. It also writes 128 paper-size
-latents: for seeds 0-15, DPAE(PAPER_PROFILE, seed) encodes the first 4
-samples of a normalized 8-sample paper dataset of that seed, each clean
-(`latent_vector`) and then perturbed at (30 dB, 0.2) by `perturb_patches`
-from SeedSequence((seed, 1, i)). BLAS runs on one thread.
+0 and with the config file `config.json` written from CONFIG) in a temporary
+directory, with the `dpae` package from DIR/src; DIR defaults to the tree this
+script is in. It writes the sha256 of every file the chain leaves, by path
+relative to that directory, the text gradcheck prints and the loss column of
+run/loss_history.csv. It also writes 128 paper-size latents: for seeds 0-15,
+DPAE(PAPER_PROFILE, seed) encodes the first 4 samples of a normalized 8-sample
+paper dataset of that seed, each clean (`latent_vector`) and then perturbed at
+(30 dB, 0.2) by `perturb_patches` from SeedSequence((seed, 1, i)). BLAS runs on
+one thread.
 
 `compare` prints every file that differs or is missing on one side, the
 largest relative difference between the two loss columns when the loss history
 differs, the same for the paper latents when they differ, and the lines of the
-gradcheck output that differ; it exits 1 if there is any.
+gradcheck output that differ; it exits 1 if there is any. Its last line counts
+the identical files and says whether the gradcheck output, the loss column and
+the paper latents are identical.
 
 To check a change against its parent commit, run `run` on a copy of each
 tree (for example `git worktree add ../parent HEAD~1`, then `--repo
@@ -40,6 +43,16 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CKPT = "run/checkpoint_final"
 LOSSES = "run/loss_history.csv"
 SEED = "0"
+
+# The config file every chain command reads, so that each artifact's stamp
+# records a resolved train and heads section. The curriculum is the default one
+# with integer SNRs, which the loss history still writes as floats; a shorter
+# one leaves 2 epochs too few for the perturbed reconstruct to beat identity.
+CONFIG = {
+    "train": {"lr_ini": 0.002,
+              "curriculum": [[20, 0.4], [35, 0.25], [40, 0.1], [30, 0.2], [30, 0.2]]},
+    "heads": {"tree_count": 10},
+}
 
 # Prints the paper latents described above as one JSON list of 128 vectors.
 PAPER_LATENTS = """
@@ -91,9 +104,12 @@ def run_chain(repo):
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory(prefix="dpae-parity-") as work:
+        with open(os.path.join(work, "config.json"), "w") as fh:
+            json.dump(CONFIG, fh)
         for argv in CHAIN:
             proc = subprocess.run(
-                [sys.executable, "-m", "dpae.cli", *argv, "--seed", SEED],
+                [sys.executable, "-m", "dpae.cli", *argv, "--seed", SEED,
+                 "--config", "config.json"],
                 cwd=work, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
                 sys.exit(f"{argv[0]} exited {proc.returncode}:\n{proc.stderr}")
@@ -160,6 +176,13 @@ def difference(label, a, b, unit):
             f"over {len(a)} {unit}")
 
 
+def verdict(docs, key):
+    """Whether two records agree on one kept value, or that one lacks it."""
+    if any(key not in doc for doc in docs):
+        return "not recorded"
+    return "identical" if docs[0][key] == docs[1][key] else "different"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -188,10 +211,11 @@ def main(argv=None):
         print(line)
     a, b = (doc["files"] for doc in docs)
     same = sum(a[path] == b.get(path) for path in a)
-    stdout = "identical" if docs[0]["gradcheck_stdout"] == \
-        docs[1]["gradcheck_stdout"] else "different"
+    verdicts = [f"{label} {verdict(docs, key)}" for label, key in (
+        ("gradcheck stdout", "gradcheck_stdout"), ("loss column", "losses"),
+        ("paper latents", "paper_latents"))]
     print(f"{same} of {len(a.keys() | b.keys())} files identical; "
-          f"gradcheck stdout {stdout}")
+          + "; ".join(verdicts))
     return 1 if lines else 0
 
 
