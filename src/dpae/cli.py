@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from . import interpret as I
 from . import metrics as M
 from . import tensor as T
 from . import training as TR
-from .config import resolve_config
+from .config import ExperimentConfig, resolve_config
 from .encoder import perturb_patches
-from .model import DPAE, ModelProfile
+from .model import DESK_PROFILE, DPAE, PAPER_PROFILE, ModelProfile
 
 OUTPUT_ROOT_ENV = "DPAE_OUTPUT_ROOT"
 LOCK_NAME = ".dpae.lock"
@@ -154,21 +154,16 @@ def _load_heads(heads_dir):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen_data(args):
-    cfg = resolve_config(args.config, scale=args.scale, seed=args.seed,
-                         count=args.count)
+def cmd_gen_data(cfg, args):
     profile = cfg.profile()
     dataset = D.normalize(D.generate_dataset(
         cfg.count, seed=cfg.seed, p=profile.p, registry=D.registry_for(profile.l)))
     with _OutDir(args.out) as out:
         D.save_dataset(dataset, out, meta=_stamp(cfg, "gen-data"))
     print(f"wrote {len(dataset.samples)} samples to {out}")
-    return 0
 
 
-def cmd_train_dpae(args):
-    cfg = resolve_config(args.config, scale=args.scale, seed=args.seed,
-                         epochs=args.epochs)
+def cmd_train_dpae(cfg, args):
     if cfg.epochs < 1:
         raise UsageError("epochs must be at least 1")
     dataset = D.load_dataset(args.data)
@@ -196,12 +191,9 @@ def cmd_train_dpae(args):
                          "verified": True,
                      }))
     print(f"trained {len(history)} steps; final loss {history[-1][5]:.6f}")
-    return 0
 
 
-def cmd_reconstruct(args):
-    cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
-                         ratio_pad=args.pad)
+def cmd_reconstruct(cfg, args):
     model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
     if not (0 <= args.index < len(dataset.samples)):
@@ -238,12 +230,9 @@ def cmd_reconstruct(args):
     if not args.passthrough and ratio < 1.0:
         raise NumericalFailure(
             f"reconstruction did not beat identity: ratio {ratio:.3f} < 1")
-    return 0
 
 
-def cmd_extract_latents(args):
-    cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
-                         ratio_pad=args.pad)
+def cmd_extract_latents(cfg, args):
     model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
 
@@ -263,20 +252,15 @@ def cmd_extract_latents(args):
         D.write_json(os.path.join(out, "run.json"),
                      {**stamp, "rows": len(labels)})
     print(f"wrote {len(labels)} latent rows of width {Z.shape[1] + 2}")
-    return 0
 
 
-def cmd_train_heads(args):
-    cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
-                         ratio_pad=args.pad)
+def cmd_train_heads(cfg, args):
     jobs = [(offset, name, fit, task)
             for offset, (name, fit, task) in enumerate(_HEADS, 1)
             if args.head in ("all", name.split("_")[0])]
     on_latents = [not name.startswith("e2e") for _, name, _, _ in jobs]
     if any(on_latents) and not args.latents:
         raise UsageError("--latents is required for mlp/forest heads")
-    if not args.data:
-        raise UsageError("--data is required to recover the train split")
 
     dataset = D.load_dataset(args.data)
     train_idx = dataset.indices("train")
@@ -286,7 +270,12 @@ def cmd_train_heads(args):
             raise UsageError("latents row count does not match dataset")
         by_latents = ([Z[i] for i in train_idx], [labels[i] for i in train_idx])
     if not all(on_latents):
-        grid = cfg.profile().grid()
+        # The grid of the profile the dataset was generated at.
+        grid = next((pr.grid() for pr in (DESK_PROFILE, PAPER_PROFILE)
+                     if (pr.p, pr.l) == (dataset.p, dataset.l)), None)
+        if grid is None:
+            raise UsageError(f"dataset is {dataset.p}x{dataset.l}, which no "
+                             f"profile expects")
         patches, truth = _inputs(cfg, _TAG_LATENTS, dataset, train_idx, grid)
         by_matrices = ([D.unpatchify(xp, grid) for xp in patches], truth)
 
@@ -304,15 +293,12 @@ def cmd_train_heads(args):
             "reports": {name: asdict(r) for name, r in reports.items()},
         })
     print(f"fitted heads: {', '.join(sorted(reports))}")
-    return 0
 
 
-def cmd_evaluate(args):
-    cfg = resolve_config(args.config, seed=args.seed, snr_db=args.snr,
-                         ratio_pad=args.pad)
+def cmd_evaluate(cfg, args):
     model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
-    heads = _load_heads(args.heads)
+    heads = _load_heads(args.heads_dir)
     test_idx = dataset.indices("test")
     if not test_idx:
         raise UsageError("dataset has no test split")
@@ -364,14 +350,9 @@ def cmd_evaluate(args):
         line = (f"macro_f1 {keys['macro_f1']:.3f}" if "macro_f1" in keys
                 else f"rmse {keys['rmse']:.3f}")
         print(f"{name}: {line}")
-    return 0
 
 
-def cmd_explain(args):
-    # coalition_samples is the one shap key a config file may set.
-    cfg = resolve_config(args.config, seed=args.seed, size_band=args.band,
-                         shap=None if args.coalitions is None
-                         else {"coalition_samples": args.coalitions})
+def cmd_explain(cfg, args):
     model, _ = TR.load_checkpoint(args.model)
     d = model.profile.latent_dim
     for setting, count, least in (
@@ -382,7 +363,7 @@ def cmd_explain(args):
         if count < least:
             raise UsageError(f"{setting} must be at least {least}, got {count}")
     dataset = D.load_dataset(args.data)
-    heads = _load_heads(args.heads)
+    heads = _load_heads(args.heads_dir)
     cla = heads.get("mlp_cla") or heads.get("forest_cla")
     reg = heads.get("mlp_reg") or heads.get("forest_reg")
     if cla is None or reg is None:
@@ -452,7 +433,6 @@ def cmd_explain(args):
     top = [names[c] for c in report.ranking[:5]]
     print(f"phi length {d} (sum {report.phi.sum():.6f}); top channels: "
           + ", ".join(top))
-    return 0
 
 
 def _gradcheck_ops(seed):
@@ -512,8 +492,7 @@ def _gradcheck_model(seed, scope):
             lambda: TR.mse_loss(x, model.reconstruct(xp)[0]), model.params)
 
 
-def cmd_gradcheck(args):
-    cfg = resolve_config(args.config, seed=args.seed)
+def cmd_gradcheck(cfg, args):
     scopes = ("ops", "encoder", "full") if args.scope == "all" \
         else (args.scope,)
     checks = _gradcheck_ops(cfg.seed) if "ops" in scopes else []
@@ -545,113 +524,92 @@ def cmd_gradcheck(args):
     if worst > GRADCHECK_TOLERANCE:
         raise NumericalFailure(
             f"gradient check failed: {worst:.3e} > {GRADCHECK_TOLERANCE:.0e}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+def coalition_samples(text):
+    """--coalitions N as the whole shap section: its one settable key."""
+    return {"coalition_samples": int(text)}
+
+
+# Every flag once, with its argparse keywords. A flag that sets a config
+# field has that field as its dest (metavar keeps the flag's own name), so
+# main resolves the config from every parsed command alike.
+_FLAGS = {
+    "--seed": dict(type=int),
+    "--config": dict(help="JSON config file; flags override its values"),
+    "--model": dict(required=True),
+    "--data": dict(required=True),
+    "--heads": dict(required=True, dest="heads_dir", metavar="HEADS"),
+    "--out": dict(required=True),
+    "--count": dict(type=int),
+    "--scale": dict(choices=("desk", "paper")),
+    "--epochs": dict(type=int),
+    "--log-every": dict(type=int, default=0),
+    "--index": dict(type=int, default=0),
+    "--snr": dict(type=float, dest="snr_db", metavar="SNR"),
+    "--pad": dict(type=float, dest="ratio_pad", metavar="PAD"),
+    "--passthrough": dict(action="store_true"),
+    "--clean": dict(action="store_true", help="encode unperturbed matrices"),
+    "--latents": dict(),
+    "--head": dict(choices=("mlp", "forest", "e2e", "all"), default="all"),
+    "--band": dict(type=lambda s: [float(v) for v in s.split(",")],
+                   dest="size_band", metavar="BAND",
+                   help="size band as lo,hi (cm)"),
+    "--explain-count": dict(type=int, default=8),
+    "--background-size": dict(type=int, default=64),
+    "--coalitions": dict(type=coalition_samples, dest="shap",
+                         metavar="COALITIONS"),
+    "--scope": dict(choices=("ops", "encoder", "full", "all"), default="all"),
+}
+
+# One row per subcommand: name, function, help, and its flags after
+# --seed --config, in order; a trailing "?" makes a required flag optional.
+_COMMANDS = (
+    ("gen-data", cmd_gen_data, "synthesize a labeled dataset",
+     "--count --scale --out"),
+    ("train-dpae", cmd_train_dpae, "train the autoencoder",
+     "--data --out --scale --epochs --log-every"),
+    ("reconstruct", cmd_reconstruct, "reconstruct one perturbed sample",
+     "--model --data --out --index --snr --pad --passthrough"),
+    ("extract-latents", cmd_extract_latents, "encode every sample",
+     "--model --data --out --snr --pad --clean"),
+    ("train-heads", cmd_train_heads, "fit diagnosis heads",
+     "--latents --data --out --head --snr --pad"),
+    ("evaluate", cmd_evaluate, "score heads on fresh perturbations",
+     "--model --data --heads --out --snr --pad"),
+    ("explain", cmd_explain, "run the interpretation cascade",
+     "--model --data --heads --out --band --explain-count --background-size "
+     "--coalitions"),
+    ("gradcheck", cmd_gradcheck, "finite-difference gradient audit",
+     "--scope --out?"),
+)
+
+
 def build_parser():
     parser = _Parser(prog="dpae",
                      description="Transient diagnosis pipeline commands")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None,
-                       help="JSON config file; flags override its values")
-
-    p = sub.add_parser("gen-data", help="synthesize a labeled dataset")
-    common(p)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--scale", choices=("desk", "paper"), default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train-dpae", help="train the autoencoder")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--scale", choices=("desk", "paper"), default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--log-every", type=int, default=0)
-    p.set_defaults(func=cmd_train_dpae)
-
-    p = sub.add_parser("reconstruct", help="reconstruct one perturbed sample")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--pad", type=float, default=None)
-    p.add_argument("--passthrough", action="store_true")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("extract-latents", help="encode every sample")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--pad", type=float, default=None)
-    p.add_argument("--clean", action="store_true",
-                   help="encode unperturbed matrices")
-    p.set_defaults(func=cmd_extract_latents)
-
-    p = sub.add_parser("train-heads", help="fit diagnosis heads")
-    common(p)
-    p.add_argument("--latents", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--head", choices=("mlp", "forest", "e2e", "all"),
-                   default="all")
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--pad", type=float, default=None)
-    p.set_defaults(func=cmd_train_heads)
-
-    p = sub.add_parser("evaluate", help="score heads on fresh perturbations")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--heads", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--pad", type=float, default=None)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("explain", help="run the interpretation cascade")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--heads", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--band", type=lambda s: [float(v) for v in s.split(",")],
-                   default=None, help="size band as lo,hi (cm)")
-    p.add_argument("--explain-count", type=int, default=8)
-    p.add_argument("--background-size", type=int, default=64)
-    p.add_argument("--coalitions", type=int, default=None)
-    p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    common(p)
-    p.add_argument("--scope", choices=("ops", "encoder", "full", "all"),
-                   default="all")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gradcheck)
-
+    for name, func, summary, flags in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag in ("--seed", "--config", *flags.split()):
+            kwargs = dict(_FLAGS[flag.rstrip("?")])
+            if flag.endswith("?"):
+                kwargs["required"] = False
+            p.add_argument(flag.rstrip("?"), **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args) or 0
+        args = build_parser().parse_args(argv)
+        cfg = resolve_config(args.config, **{f.name: getattr(args, f.name, None)
+                                             for f in fields(ExperimentConfig)})
+        args.func(cfg, args)
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -84,6 +84,9 @@ class ExperimentConfig:
             self.epochs = preset["epochs"]
         for name, kind in TOP_LEVEL_NUMBERS.items():
             _check_number(name, getattr(self, name), kind)
+        if self.seed < 0:
+            raise ValueError(f"config value seed must not be negative, "
+                             f"got {self.seed}")
         check_setting("perturbation setting", self.snr_db, self.ratio_pad)
         if not isinstance(self.size_band, (list, tuple)) or len(self.size_band) != 2:
             raise ValueError(f"config value size_band must be two numbers, "

@@ -321,10 +321,9 @@ def add_noise(x, snr_db, rng):
 def patchify(x, grid):
     """p x l series -> N x D patch rows, channel-major then time-major."""
     p, l = x.shape
-    if p != grid.m * grid.D:
-        raise ValueError(f"p={p} inconsistent with m={grid.m}, D={grid.D}")
-    if l * grid.m != grid.N:
-        raise ValueError(f"l={l} inconsistent with N={grid.N}")
+    if (p, l * grid.m) != (grid.m * grid.D, grid.N):
+        raise ValueError(f"matrix is {p}x{l}, patch grid expects "
+                         f"{grid.m * grid.D}x{grid.N // grid.m}")
     return np.ascontiguousarray(
         x.T.reshape(l, grid.m, grid.D).reshape(grid.N, grid.D)
     )

@@ -6,6 +6,7 @@ command against it. Reruns into fresh directories must be byte-identical,
 so most determinism checks are straight file comparisons.
 """
 
+import argparse
 import csv
 import json
 import os
@@ -132,7 +133,7 @@ class TestGenData:
                     {"train": {"lr_ini": -0.001}}, {"train": {"lr_ini": 0}},
                     {"train": {"checkpoint_interval": -3}}, {"ratio_pad": 2},
                     {"ratio_pad": -0.1}, {"heads": {"tree_count": 0}},
-                    {"count": 3}):
+                    {"count": 3}, {"seed": -1}):
             cfg_path.write_text(json.dumps(doc))
             assert run_cli("gen-data", "--config", str(cfg_path),
                            "--out", str(tmp_path / "x")) == 1, doc
@@ -146,6 +147,14 @@ class TestGenData:
         assert run_cli("gen-data", "--config", str(cfg_path),
                        "--out", str(tmp_path / "x")) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.fixture(scope="module")
+def paper_data(tmp_path_factory):
+    data = str(tmp_path_factory.mktemp("paper") / "data")
+    assert run_cli("gen-data", "--out", data, "--count", "20",
+                   "--scale", "paper", "--seed", SEED) == 0
+    return data
 
 
 class TestTrainDpae:
@@ -240,6 +249,16 @@ class TestExtractLatents:
         assert not same_bytes(os.path.join(ws.lat, "latents.csv"),
                               os.path.join(clean, "latents.csv"))
 
+    def test_model_dataset_mismatch_names_both_shapes(self, ws, paper_data,
+                                                     tmp_path, capsys):
+        out = tmp_path / "lat"
+        assert run_cli("extract-latents", "--model", ws.ckpt,
+                       "--data", paper_data, "--out", str(out),
+                       "--seed", SEED) == 1
+        err = capsys.readouterr().err
+        assert "200x38" in err and "80x8" in err, err
+        assert not out.exists()
+
 
 class TestTrainHeads:
     def test_all_six_heads_written(self, ws):
@@ -288,6 +307,29 @@ class TestTrainHeads:
                        "--out", str(tmp_path / "h"), "--head", "mlp",
                        "--seed", SEED) == 1
 
+    def test_end_to_end_grid_comes_from_the_dataset(self, paper_data, tmp_path):
+        # No --scale: the paper dataset alone picks the paper patch grid.
+        cfg_path = tmp_path / "heads.json"
+        cfg_path.write_text(json.dumps({"heads": {"max_epochs": 2}}))
+        out = tmp_path / "h"
+        assert run_cli("train-heads", "--config", str(cfg_path),
+                       "--data", paper_data, "--out", str(out),
+                       "--head", "e2e", "--seed", SEED) == 0
+        assert (out / "e2e_cla").is_dir() and (out / "e2e_reg").is_dir()
+
+    def test_negative_seed_flag_fails_before_the_dataset_loads(
+            self, ws, tmp_path, capsys, monkeypatch):
+        def load_dataset(path):
+            raise AssertionError("the command loaded the dataset")
+
+        monkeypatch.setattr(cli.D, "load_dataset", load_dataset)
+        out = tmp_path / "h"
+        assert run_cli("train-heads", "--latents",
+                       os.path.join(ws.lat, "latents.csv"), "--data", ws.data,
+                       "--out", str(out), "--head", "mlp", "--seed", "-1") == 1
+        assert capsys.readouterr().err.startswith("usage error: config value seed")
+        assert not out.exists()
+
     @pytest.mark.parametrize("head, section", [
         ("mlp", {"max_epochs": 0}), ("forest", {"max_depth": -3}),
         ("mlp", {"lr": -0.01})], ids=["max_epochs", "max_depth", "lr"])
@@ -322,6 +364,17 @@ def exp(ws):
 
 
 class TestEvaluate:
+    def test_heads_dir_flag_leaves_the_heads_section_alone(self, ws, tmp_path):
+        # --heads names a directory; the config's heads section still resolves.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"heads": {"tree_count": 10}}))
+        out = str(tmp_path / "eval")
+        assert run_cli("evaluate", "--config", str(cfg_path), "--model",
+                       ws.ckpt, "--data", ws.data, "--heads", ws.heads,
+                       "--out", out, "--seed", SEED) == 0
+        stamp = read_json(os.path.join(out, "metrics.json"))["config"]
+        assert stamp["heads"] == {"tree_count": 10}
+
     def test_classifiers_report_macro_f1_and_per_class(self, metrics):
         for name in ("mlp_cla", "forest_cla", "e2e_cla"):
             entry = metrics["heads"][name]
@@ -498,6 +551,41 @@ MALFORMED = {
     "latents_empty": ("train-heads", lambda c: (
         c / "lat/latents.csv").write_text("")),
 }
+
+
+# Each subcommand's flags in order; "*" marks a required one.
+SURFACE = {
+    "gen-data": "--seed --config --count --scale --out*",
+    "train-dpae": "--seed --config --data* --out* --scale --epochs --log-every",
+    "reconstruct": "--seed --config --model* --data* --out* --index --snr "
+                   "--pad --passthrough",
+    "extract-latents": "--seed --config --model* --data* --out* --snr --pad "
+                       "--clean",
+    "train-heads": "--seed --config --latents --data* --out* --head --snr --pad",
+    "evaluate": "--seed --config --model* --data* --heads* --out* --snr --pad",
+    "explain": "--seed --config --model* --data* --heads* --out* --band "
+               "--explain-count --background-size --coalitions",
+    "gradcheck": "--seed --config --scope --out",
+}
+
+
+class TestCommandSurface:
+    def test_each_subcommand_takes_its_flags_in_order(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(SURFACE)
+        for name, parser in sub.choices.items():
+            flags = [a.option_strings[0] + "*" * a.required
+                     for a in parser._actions
+                     if not isinstance(a, argparse._HelpAction)]
+            assert " ".join(flags) == SURFACE[name], name
+
+    @pytest.mark.parametrize("command", SURFACE)
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, "--help")
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: dpae {command}")
 
 
 class TestExitCodesAndLocking:
