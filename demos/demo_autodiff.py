@@ -22,10 +22,10 @@ from dpae.model import DPAE, ModelProfile
 def scalar_chain(seed):
     print("== a scalar chain, differentiated by hand and by tape ==")
     w = T.Parameter(np.array([[0.7]]), "w")
-    # f(w) = mean((gelu(w^2))^2), gelu(u) = u Phi(u); hand derivative via
+    # f(w) = mean((gelu(w w))^2), gelu(u) = u Phi(u); hand derivative via
     # chain rule with gelu'(u) = Phi(u) + u phi(u).
     with T.tape():  # record the forward so backward can replay it
-        out = T.mean_all(T.square(T.gelu(T.square(w))))
+        out = T.mse(T.gelu(T.matmul(w, w)), 0.0)
         T.zero_grads({"w": w})
         T.backward(out)
     x = 0.7
@@ -46,7 +46,7 @@ def attention_style_block(seed):
     params = {"qkv": T.Parameter(rng.normal(size=(4, 18)), "qkv")}
 
     def f():
-        return T.mean_all(T.square(T.attention(params["qkv"], 2)))
+        return T.mse(T.attention(params["qkv"], 2), 0.0)
 
     err = T.grad_check(f, params, eps=1e-5)
     print(f"   max relative error vs finite differences: {err:.3e}\n")
@@ -67,7 +67,7 @@ def lstm_check(seed):
     def f():
         out = T.lstm(params["xs"], params["w_ih"], params["w_hh"],
                      params["bias"])
-        return T.mean_all(T.square(out))
+        return T.mse(out, 0.0)
 
     err = T.grad_check(f, params, eps=1e-5)
     print(f"   max relative error across all 4 tensors: {err:.3e}\n")

@@ -369,20 +369,22 @@ def cmd_explain(cfg, args):
     if cla is None or reg is None:
         raise UsageError("explain needs one classifier and one regressor head")
 
-    # Clean eval-mode latents for every sample.
-    Z = np.stack([model.latent_vector(s.matrix) for s in dataset.samples])
-
     rng_bg = np.random.default_rng(
         np.random.SeedSequence((cfg.seed, _TAG_BACKGROUND)))
     train_idx = dataset.indices("train")
     bg_count = min(args.background_size, len(train_idx))
-    background = Z[rng_bg.choice(train_idx, size=bg_count, replace=False)]
+    bg_idx = rng_bg.choice(train_idx, size=bg_count, replace=False)
 
     rng_pick = np.random.default_rng(
         np.random.SeedSequence((cfg.seed, _TAG_EXPLAIN_PICK)))
     test_idx = dataset.indices("test") or train_idx
     n_explain = min(args.explain_count, len(test_idx))
     chosen = sorted(rng_pick.choice(test_idx, size=n_explain, replace=False))
+
+    # Clean eval-mode latents of the samples read below, each encoded once.
+    Z = {i: model.latent_vector(dataset.samples[i].matrix)
+         for i in {*bg_idx, *chosen}}
+    background = np.stack([Z[i] for i in bg_idx])
 
     shap_cfg = I.ShapConfig(background=background, seed=cfg.seed, **cfg.shap)
     g_cla = I.classifier_fn(cla)
@@ -459,7 +461,7 @@ def _gradcheck_ops(seed):
 
     def check(name, op, *names):
         probed = {n: P[n] for n in names}
-        return name, lambda: T.mean_all(T.square(op(*probed.values()))), probed
+        return name, lambda: T.mse(op(*probed.values()), 0.0), probed
 
     return [
         check("matmul", T.matmul, "a", "b"),
@@ -487,7 +489,7 @@ def _gradcheck_model(seed, scope):
     xp = D.patchify(x, model.grid)
     if scope == "encoder":
         return ("encoder_latent_mse",
-                lambda: T.mean_all(T.square(model.encode(xp)[0])), model.params)
+                lambda: T.mse(model.encode(xp)[0], 0.0), model.params)
     return ("encode_decode_mse",
             lambda: TR.mse_loss(x, model.reconstruct(xp)[0]), model.params)
 
@@ -534,6 +536,11 @@ def coalition_samples(text):
     return {"coalition_samples": int(text)}
 
 
+def size_band(text):
+    """--band lo,hi in cm."""
+    return [float(v) for v in text.split(",")]
+
+
 # Every flag once, with its argparse keywords. A flag that sets a config
 # field has that field as its dest (metavar keeps the flag's own name), so
 # main resolves the config from every parsed command alike.
@@ -555,8 +562,7 @@ _FLAGS = {
     "--clean": dict(action="store_true", help="encode unperturbed matrices"),
     "--latents": dict(),
     "--head": dict(choices=("mlp", "forest", "e2e", "all"), default="all"),
-    "--band": dict(type=lambda s: [float(v) for v in s.split(",")],
-                   dest="size_band", metavar="BAND",
+    "--band": dict(type=size_band, dest="size_band", metavar="BAND",
                    help="size band as lo,hi (cm)"),
     "--explain-count": dict(type=int, default=8),
     "--background-size": dict(type=int, default=64),

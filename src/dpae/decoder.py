@@ -48,7 +48,7 @@ def decode(latent, class_row, params, profile, pe_table, rng=None):
     """(latent, encoded class token) -> reconstructed p x l matrix."""
     xp = expand_latent(latent, params, profile)
     seq = T.concat_rows([class_row, xp])
-    seq = T.add(seq, T.Tensor(pe_table))
+    seq = T.add(seq, pe_table)
     for b in range(profile.depth_dec):
         seq = transformer_block(seq, params, f"dec.block{b}", profile, rng)
     patches = T.slice_rows(seq, 1, profile.N + 1)

@@ -77,7 +77,7 @@ def init_encoder_params(profile, rng):
 
 def preprocess(xp, params):
     """Prepend the class-token row to N x D patches, then add the positional table."""
-    seq = T.concat_rows([params["enc.class_token"], T.Tensor(xp)])
+    seq = T.concat_rows([params["enc.class_token"], xp])
     return T.add(seq, params["enc.pos_encoding"])
 
 

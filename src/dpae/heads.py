@@ -192,17 +192,12 @@ def _fit_metrics(head, X, y, **splits):
 # ---------------------------------------------------------------------------
 # fully connected heads
 
-def _network_forward(params, widths, X):
-    return dense(T.Tensor(X), params, "", len(widths) - 1)
-
-
 def _network_loss(params, widths, X, y, task):
-    out = _network_forward(params, widths, X)
+    out = dense(X, params, "", len(widths) - 1)
     if task == "classify":
         onehot = np.eye(len(CLASS_ORDER))[y]
         return T.cross_entropy_logits(out, onehot)
-    target = T.Tensor(y.reshape(-1, 1))
-    return T.mean_all(T.square(T.sub(out, target)))
+    return T.mse(out, y.reshape(-1, 1))
 
 
 def _fit_network(vectors, labels, task, hidden, config):
@@ -401,7 +396,7 @@ def predict(head, x):
         raise ValueError(f"input width {X.shape[1]} != expected {width}")
 
     if isinstance(head, MlpHead):
-        out = _network_forward(head.params, head.widths, X)
+        out = dense(X, head.params, "", len(head.widths) - 1)
         if head.task == "classify":
             probs = T.softmax(out.data)
             return probs[0] if single else probs

@@ -1,11 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every value flowing through the models in this package is a ``Tensor``: a
-row-major float64 array. Inside a ``tape()`` context each operation's result
-also keeps a closure that routes its incoming gradient to its inputs, and the
-tape lists every Tensor in creation order; ``backward`` on a scalar root runs
-the closures once in reverse creation order, which is a topological order.
-Outside a tape nothing is recorded, so inference keeps no graph.
+A value that needs a gradient is a ``Tensor``: a row-major float64 array.
+A constant (an input matrix, a target, a fixed table) is a plain ndarray: the
+ops that take one (``matmul``'s left operand, ``add``'s second operand and
+``concat_rows``' parts) never form its gradient, and it is never on a tape.
+Inside a ``tape()`` context each operation's result also keeps a closure that
+routes its incoming gradient to its Tensor inputs, and the tape lists every
+Tensor in creation order; ``backward`` on a scalar root runs the closures once
+in reverse creation order, which is a topological order. Outside a tape
+nothing is recorded, so inference keeps no graph.
 
 Broadcasting is deliberately restricted: binary elementwise operations
 require exact shape matches, with the single exception of adding a 1 x n
@@ -137,73 +140,72 @@ def _accum(node: Tensor, g: np.ndarray):
 # core operations
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
+def _value(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def matmul(a, b: Tensor) -> Tensor:
+    """a @ b; `a` may be a constant ndarray."""
+    x = _value(a)
+    if x.ndim != 2 or b.data.ndim != 2 or x.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {x.shape} x {b.data.shape}")
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g if a.data.shape[0] != 1 else a.data.T * g)
+        if isinstance(a, Tensor):
+            _accum(a, g @ b.data.T)
+        _accum(b, x.T @ g if x.shape[0] != 1 else x.T * g)
 
-    return Tensor(a.data @ b.data, backward)
+    return Tensor(x @ b.data, backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1 x n bias row added to an m x n matrix."""
+def add(a: Tensor, b) -> Tensor:
+    """Elementwise sum; also accepts a 1 x n bias row added to an m x n matrix.
+    `b` may be a constant ndarray."""
+    y = _value(b)
     bias_row = (
         a.data.ndim == 2
-        and b.data.ndim == 2
-        and b.data.shape[0] == 1
-        and a.data.shape[1] == b.data.shape[1]
+        and y.ndim == 2
+        and y.shape[0] == 1
+        and a.data.shape[1] == y.shape[1]
         and a.data.shape[0] != 1
     )
-    if a.data.shape != b.data.shape and not bias_row:
-        raise ShapeError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
+    if a.data.shape != y.shape and not bias_row:
+        raise ShapeError(f"add shape mismatch: {a.data.shape} + {y.shape}")
 
     def backward(g):
         _accum(a, g)
-        _accum(b, g.sum(axis=0, keepdims=True) if bias_row else g)
+        if isinstance(b, Tensor):
+            _accum(b, g.sum(axis=0, keepdims=True) if bias_row else g)
 
-    return Tensor(a.data + b.data, backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub shape mismatch: {a.data.shape} - {b.data.shape}")
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return Tensor(a.data - b.data, backward)
+    return Tensor(a.data + y, backward)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact GELU, x * Phi(x), with the erf formulation."""
+    """Exact GELU, x * Phi(x), with the erf formulation; the backward flushes
+    subnormal derivatives (x near -38) to 0, as they slow every later matmul."""
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
     def backward(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        _accum(a, g * (cdf + x * pdf))
+        d = cdf + x * pdf
+        d[np.abs(d) < np.finfo(np.float64).tiny] = 0.0
+        _accum(a, g * d)
 
     return Tensor(x * cdf, backward)
 
 
-def square(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, 2.0 * g * a.data)
-
-    return Tensor(a.data * a.data, backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
+def mse(a: Tensor, target) -> Tensor:
+    """Mean over all entries of (a - target)^2; `target` is a constant ndarray
+    of a's shape, or 0.0 for the mean of squares."""
+    if np.shape(target) not in ((), a.data.shape):
+        raise ShapeError(f"mse shape mismatch: {a.data.shape} vs {np.shape(target)}")
+    d = a.data - target
 
     def backward(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
+        _accum(a, 2.0 * (float(g) / d.size) * d)
 
-    return Tensor(np.array(a.data.mean()), backward)
+    return Tensor(np.array((d * d).mean()), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -238,17 +240,18 @@ def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
 
 
 def concat_rows(parts) -> Tensor:
-    cols = parts[0].data.shape[1]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[1] != cols:
-            raise ShapeError(f"concat_rows column mismatch: {[q.data.shape for q in parts]}")
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+    """The rows of each part in turn; a part may be a constant ndarray."""
+    arrays = [_value(p) for p in parts]
+    if any(x.ndim != 2 or x.shape[1] != arrays[0].shape[1] for x in arrays):
+        raise ShapeError(f"concat_rows column mismatch: {[x.shape for x in arrays]}")
+    offsets = np.cumsum([0] + [x.shape[0] for x in arrays])
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi])
+            if isinstance(p, Tensor):
+                _accum(p, g[lo:hi])
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=0), backward)
+    return Tensor(np.concatenate(arrays, axis=0), backward)
 
 
 def softmax(x):

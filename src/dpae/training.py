@@ -71,7 +71,7 @@ class NAdamState:
 
 def mse_loss(x_clean, x_re):
     """Mean over all entries of the squared reconstruction error."""
-    return T.mean_all(T.square(T.sub(x_re, T.Tensor(x_clean))))
+    return T.mse(x_re, x_clean)
 
 
 def nadam_step(params, grad, state, lr):

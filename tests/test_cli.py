@@ -686,11 +686,14 @@ class TestExitCodesAndLocking:
         assert capsys.readouterr().err.startswith("i/o error:")
         assert not os.path.exists(tmp_path / "out")
 
-    def test_malformed_band_is_usage_error(self, ws, tmp_path):
+    def test_malformed_band_is_usage_error(self, ws, tmp_path, capsys):
         for band in ("abc", "14,6", "nan,1"):
             assert run_cli("explain", "--model", ws.ckpt, "--data", ws.data,
                            "--heads", ws.heads, "--out", str(tmp_path / "e"),
                            "--band", band, "--seed", SEED) == 1, band
+            if band == "abc":  # argparse names the type function
+                err = capsys.readouterr().err
+                assert "size_band" in err and "<lambda>" not in err
 
     def test_non_finite_snr_fails_before_the_dataset_loads(
             self, ws, tmp_path, capsys, monkeypatch):

@@ -131,7 +131,7 @@ class TestTransformerBlock:
 
         def f():
             out = enc.transformer_block(T.Tensor(x), model.params, "enc.block0", cfg)
-            return T.mean_all(T.square(out))
+            return T.mse(out, 0.0)
 
         err = T.grad_check(f, block, eps=1e-5)
         assert err <= 1e-5
@@ -167,9 +167,7 @@ class TestLstmTraverse:
         lstm = {k: v for k, v in model.params.items() if ".lstm" in k}
 
         def f():
-            return T.mean_all(T.square(
-                enc.lstm_traverse(T.Tensor(seq), model.params)
-            ))
+            return T.mse(enc.lstm_traverse(T.Tensor(seq), model.params), 0.0)
 
         err = T.grad_check(f, lstm, eps=1e-5)
         assert err <= 1e-5
@@ -228,7 +226,7 @@ class TestEncode:
 
         def f():
             latent, _ = model.encode(xp)
-            return T.mean_all(T.square(latent))
+            return T.mse(latent, 0.0)
 
         err = T.grad_check(f, probe, eps=1e-5)
         assert err <= 1e-5
@@ -272,7 +270,7 @@ class TestDecode:
 
         def f():
             out = dec.expand_latent(T.Tensor(latent), model.params, model.profile)
-            return T.mean_all(T.square(out))
+            return T.mse(out, 0.0)
 
         assert T.grad_check(f, probe, eps=1e-5) <= 1e-6
 
@@ -297,7 +295,7 @@ class TestDecode:
 
         def f():
             recon, _ = model.reconstruct(xp)
-            return T.mean_all(T.square(T.sub(recon, T.Tensor(x))))
+            return T.mse(recon, x)
 
         # Top-|gradient| probe entries across every parameter tensor.
         err = T.grad_check(f, model.params, eps=1e-5, entries_per_param=2, order=4)

@@ -46,7 +46,7 @@ class TestMatmul:
     def test_gradient_vs_finite_differences(self):
         a = T.Parameter(rand((3, 4), seed=2), "a")
         b = T.Parameter(rand((4, 2), seed=3), "b")
-        err = T.grad_check(lambda: T.mean_all(T.matmul(a, b)), [a, b])
+        err = T.grad_check(lambda: T.mse(T.matmul(a, b), 0.0), [a, b])
         assert err <= 1e-7
 
     def test_one_row_weight_gradient_is_the_gemm_bit_for_bit(self):
@@ -74,9 +74,8 @@ class TestMatmul:
     def test_one_row_gradient_vs_finite_differences(self):
         a = T.Parameter(rand((1, 4), seed=46), "a")
         b = T.Parameter(rand((4, 3), seed=47), "b")
-        w = T.Tensor(rand((1, 3), seed=48))
-        err = T.grad_check(
-            lambda: T.mean_all(T.square(T.sub(T.matmul(a, b), w))), [a, b])
+        w = rand((1, 3), seed=48)
+        err = T.grad_check(lambda: T.mse(T.matmul(a, b), w), [a, b])
         assert err <= 1e-7
 
 
@@ -139,11 +138,9 @@ class TestLayerNorm:
         x = T.Parameter(rand((3, 6), seed=7), "x")
         gain = T.Parameter(rand((6,), seed=8, lo=0.5, hi=1.5), "g")
         bias = T.Parameter(rand((6,), seed=9), "b")
-        w = T.Tensor(rand((3, 6), seed=10))
-        err = T.grad_check(
-            lambda: T.mean_all(T.square(T.sub(T.layer_norm(x, gain, bias), w))),
-            [x, gain, bias],
-        )
+        w = rand((3, 6), seed=10)
+        err = T.grad_check(lambda: T.mse(T.layer_norm(x, gain, bias), w),
+                           [x, gain, bias])
         assert err <= 1e-6
 
 
@@ -154,6 +151,15 @@ class TestElementwise:
         x = 0.7
         d = T.gelu(T.Tensor([[x]])).item() - T.gelu(T.Tensor([[-x]])).item()
         assert abs(d - x) < 1e-12
+
+    def test_gelu_derivative_flushes_subnormals(self):
+        # gelu'(-38) is -4.2e-313, a subnormal: it comes out as exactly 0,
+        # while gelu'(-37), -7.8e-297, is a normal number and is kept.
+        x = T.Parameter([[-38.0, -37.0]], "x")
+        with T.tape():
+            T.gelu(x)._backward_fn(np.ones((1, 2)))
+        assert x.grad[0, 0] == 0.0
+        assert -1e-296 < x.grad[0, 1] < -np.finfo(np.float64).tiny
 
     def test_add_shape_mismatch(self):
         with pytest.raises(T.ShapeError):
@@ -168,8 +174,79 @@ class TestElementwise:
     def test_bias_row_gradient(self):
         a = T.Parameter(rand((4, 3), seed=11), "a")
         b = T.Parameter(rand((1, 3), seed=12), "b")
-        err = T.grad_check(lambda: T.mean_all(T.square(T.add(a, b))), [a, b])
+        err = T.grad_check(lambda: T.mse(T.add(a, b), 0.0), [a, b])
         assert err <= 1e-7
+
+
+class TestConstants:
+    """A plain ndarray operand is a constant: it is never on the tape, and no
+    op forms its gradient."""
+
+    def run(self, wrap, monkeypatch):
+        """Parameter gradients of a graph that reads constants through
+        matmul's left operand, concat_rows' parts and add's second operand
+        (full-shape and bias row), each passed through `wrap`; the tape; and
+        every node an op handed a gradient to."""
+        rng = np.random.default_rng(54)
+        x, row = rng.normal(size=(6, 4)), rng.normal(size=(2, 3))
+        table, bias = rng.normal(size=(9, 3)), rng.normal(size=(1, 3))
+        w = T.Parameter(rng.normal(size=(4, 3)), "w")
+        c = T.Parameter(rng.normal(size=(1, 3)), "c")
+        accum, reached = T._accum, []
+        monkeypatch.setattr(T, "_accum", lambda node, g: (reached.append(node),
+                                                          accum(node, g)))
+        with T.tape() as nodes:
+            h = T.gelu(T.matmul(wrap(x), w))
+            seq = T.add(T.concat_rows([c, h, wrap(row)]), wrap(table))
+            T.backward(T.mse(T.add(seq, wrap(bias)), 0.0))
+        monkeypatch.undo()
+        return (w.grad, c.grad), nodes, reached, (x, row, table, bias)
+
+    def test_constants_are_off_the_tape_and_get_no_gradient(self, monkeypatch):
+        grads, nodes, reached, consts = self.run(lambda a: a, monkeypatch)
+        assert not any(node.data is a for node in nodes for a in consts)
+        assert all(isinstance(node, T.Tensor) for node in reached)
+        # The reference wraps each constant in a Tensor: it is on the tape and
+        # gets a gradient, and the Parameters' gradients are the same bits.
+        want, nodes, reached, consts = self.run(T.Tensor, monkeypatch)
+        wrapped = [node for node in nodes for a in consts if node.data is a]
+        assert len(wrapped) == len(consts)
+        assert all(node in reached for node in wrapped)
+        for got, ref in zip(grads, want):
+            assert got.tobytes() == ref.tobytes()
+
+
+class TestMse:
+    @pytest.mark.parametrize("shape", [(200, 38), (228, 1)])
+    @pytest.mark.parametrize("zero_target", [False, True])
+    def test_matches_three_op_arithmetic_bit_for_bit(self, shape, zero_target):
+        # The loss was mean_all(square(sub(a, target))), or mean_all(square(a))
+        # for a plain mean of squares; written out here in numpy.
+        rng = np.random.default_rng(sum(shape))
+        a = T.Parameter(rng.normal(size=shape), "a")
+        target = 0.0 if zero_target else rng.normal(size=shape)
+        with T.tape():
+            loss = T.mse(a, target)
+            T.backward(loss)
+        d = a.data if zero_target else a.data - target          # sub
+        s = d * d                                                # square
+        want = np.array(s.mean())                                # mean_all
+        g_s = np.full_like(s, 1.0 / s.size)                      # mean_all backward
+        g_d = 2.0 * g_s * d                                      # square backward
+        assert loss.data.tobytes() == want.tobytes()
+        assert a.grad.tobytes() == (0.0 + g_d).tobytes()  # onto zeroed grads
+
+    def test_gradient(self):
+        a = T.Parameter(rand((4, 3), seed=55), "a")
+        target = rand((4, 3), seed=56)
+        assert T.grad_check(lambda: T.mse(a, target), [a]) <= 1e-5
+        assert T.grad_check(lambda: T.mse(a, 0.0), [a]) <= 1e-5
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 3), (4, 1), (12,)])
+    def test_other_target_shapes_raise(self, shape):
+        a = T.Parameter(rand((4, 3), seed=57), "a")
+        with pytest.raises(T.ShapeError, match=r"\(4, 3\)"):
+            T.mse(a, np.zeros(shape))
 
 
 class TestBackward:
@@ -180,18 +257,19 @@ class TestBackward:
         np.testing.assert_array_equal(w.grad, np.ones((3, 2)))
 
     def test_quadratic_form(self):
+        # w w^T = sum(w^2) for one row  =>  dL/dw = 2w, one w along each path
         w = T.Parameter([[1.0, 2.0]], "w")
         with T.tape():
-            out = sum_all(T.square(w))
+            out = T.matmul(w, T.transpose(w))
             T.backward(out)
         np.testing.assert_allclose(w.grad, [[2.0, 4.0]])
 
     def test_diamond_graph_accumulates_both_paths(self):
-        # y = a*a + 3a  =>  dy/da = 2a + 3
+        # y = a a + 3 a  =>  dy/da = 2a + 3; a a takes a's gradient twice
         a = T.Parameter([[2.0]], "a")
         with T.tape():
-            y = T.add(T.square(a), T.matmul(a, T.Tensor([[3.0]])))
-            T.backward(T.mean_all(y))
+            y = T.add(T.matmul(a, a), T.matmul(np.array([[3.0]]), a))
+            T.backward(y)
         np.testing.assert_allclose(a.grad, [[7.0]])
 
     def test_non_scalar_root_rejected(self):
@@ -203,7 +281,7 @@ class TestBackward:
         w = T.Parameter(rand((4, 4), seed=17), "w")
         v = T.Parameter(rand((4, 4), seed=18), "v")
         with T.tape():
-            out = T.mean_all(T.square(T.matmul(w, v)))
+            out = T.mse(T.matmul(w, v), 0.0)
             T.backward(out)
             g1 = (w.grad.copy(), v.grad.copy())
             T.zero_grads([w, v])
@@ -216,7 +294,7 @@ class TestBackward:
         u = T.Parameter(rand((2, 2), seed=20), "u")
         T.zero_grads([w, u])
         with T.tape():
-            T.backward(T.mean_all(T.square(w)))
+            T.backward(T.mse(w, 0.0))
         assert np.all(u.grad == 0.0)
 
 
@@ -235,20 +313,20 @@ class TestTape:
     def test_backward_outside_a_tape_raises(self):
         w = T.Parameter(rand((2, 2), seed=51), "w")
         with pytest.raises(RuntimeError, match="tape"):
-            T.backward(T.mean_all(T.square(w)))
+            T.backward(T.mse(w, 0.0))
 
     def test_grad_check_leaves_the_outer_tape_alone(self):
         w = T.Parameter(rand((3, 3), seed=52), "w")
         v = T.Parameter(rand((3, 2), seed=53), "v")
         with T.tape() as nodes:
-            out = T.mean_all(T.square(T.matmul(w, w)))
+            out = T.mse(T.matmul(w, w), 0.0)
             T.backward(out)
             before = [(node, node.grad.copy()) for node in nodes]
-            assert T.grad_check(lambda: T.mean_all(T.square(v)), [v]) <= 1e-7
+            assert T.grad_check(lambda: T.mse(v, 0.0), [v]) <= 1e-7
             assert len(nodes) == len(before)
             for (node, grad), now in zip(before, nodes):
                 assert now is node and now.grad.tobytes() == grad.tobytes()
-            last = T.square(out)
+            last = T.mse(out, 0.0)
         assert nodes[-1] is last
 
 
@@ -261,14 +339,13 @@ class TestStructuralOps:
 
     def test_slice_rows_gradient(self):
         x = T.Parameter(rand((5, 3), seed=22), "x")
-        err = T.grad_check(lambda: T.mean_all(T.square(T.slice_rows(x, 1, 3))), [x])
+        err = T.grad_check(lambda: T.mse(T.slice_rows(x, 1, 3), 0.0), [x])
         assert err <= 1e-7
 
     def test_reshape_transpose_gradient(self):
         x = T.Parameter(rand((4, 6), seed=26), "x")
         err = T.grad_check(
-            lambda: T.mean_all(T.square(T.transpose(T.reshape(x, (8, 3))))), [x]
-        )
+            lambda: T.mse(T.transpose(T.reshape(x, (8, 3))), 0.0), [x])
         assert err <= 1e-7
 
 
@@ -336,7 +413,7 @@ class TestLstm:
         x = T.Parameter(rand((1, d), seed=31), "x")
 
         def f():
-            return T.mean_all(T.square(T.lstm(x, w_ih, w_hh, b)))
+            return T.mse(T.lstm(x, w_ih, w_hh, b), 0.0)
 
         err = T.grad_check(f, [x, w_ih, w_hh, b], eps=1e-5)
         assert err <= 1e-6
@@ -347,7 +424,7 @@ class TestLstm:
         seq = T.Parameter(rand((3, d), seed=35), "seq")
 
         def f():
-            return T.mean_all(T.square(T.lstm(seq, w_ih, w_hh, b)))
+            return T.mse(T.lstm(seq, w_ih, w_hh, b), 0.0)
 
         err = T.grad_check(f, [seq, w_ih, w_hh, b], eps=1e-5)
         assert err <= 1e-6
@@ -355,8 +432,8 @@ class TestLstm:
     def test_matches_unrolled_cells_bit_for_bit(self):
         # `recorded` is from the per-step path this op replaced: one fused
         # cell per row returning [h; c], split with slice_rows, the hidden
-        # states and the final cell state concatenated. Loss sum(out ** 2),
-        # taken with sum_all so that every entry's seed gradient is exactly 1.0.
+        # states and the final cell state concatenated. Loss sum(out ** 2), whose
+        # gradient 2 out is handed to the op's backward.
         # The forward still matches it bit for bit. The backward forms the
         # weight, bias and input gradients as GEMMs after the time loop, which
         # reorders their sums: `hoisted` records those bits. It then took every
@@ -370,7 +447,7 @@ class TestLstm:
         b = T.Parameter(rng.uniform(-0.5, 0.5, (1, 8)), "b")
         with T.tape():
             out = T.lstm(xs, w_ih, w_hh, b)
-            T.backward(sum_all(T.square(out)))
+            out._backward_fn(2.0 * out.data)
         recorded = {
             "out": hex_rows(
                 ("0x1.fb95e721b5af0p-10", "-0x1.b444a544b91cfp-4"),
@@ -549,12 +626,12 @@ class TestAttention:
         x = T.Parameter(rng.normal(size=(n, d)), "x")
         qkv = T.Parameter(rng.normal(size=(d, 3 * d)) / np.sqrt(d), "qkv")
         proj = T.Parameter(rng.normal(size=(d, d)) / np.sqrt(d), "proj")
-        w = T.Tensor(rng.normal(size=(n, d)))
+        w = rng.normal(size=(n, d))
         with T.tape():
             out = T.matmul(T.attention(T.matmul(x, qkv), heads), proj)
-            T.backward(T.mean_all(T.square(T.sub(out, w))))
+            T.backward(T.mse(out, w))
         return ((out.data, x.grad, qkv.grad, proj.grad),
-                per_head_attention(x.data, qkv.data, proj.data, w.data, heads))
+                per_head_attention(x.data, qkv.data, proj.data, w, heads))
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_per_head_tape_bit_for_bit(self, name):
@@ -586,9 +663,8 @@ class TestAttention:
 
     def test_gradient(self):
         qkv = T.Parameter(rand((5, 18), seed=43), "qkv")
-        w = T.Tensor(rand((5, 6), seed=44))
-        err = T.grad_check(
-            lambda: T.mean_all(T.square(T.sub(T.attention(qkv, 2), w))), [qkv])
+        w = rand((5, 6), seed=44)
+        err = T.grad_check(lambda: T.mse(T.attention(qkv, 2), w), [qkv])
         assert err <= 1e-7
 
     @pytest.mark.parametrize("shape, heads", [
@@ -621,37 +697,34 @@ class TestCrossEntropy:
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         w = T.Parameter(rand((3,), seed=37), "w")
-        err = T.grad_check(lambda: T.mean_all(T.square(w)), [w])
+        err = T.grad_check(lambda: T.mse(w, 0.0), [w])
         assert err <= 1e-9
 
     def test_eps_bounds_enforced(self):
         w = T.Parameter([[1.0]], "w")
         with pytest.raises(ValueError):
-            T.grad_check(lambda: T.mean_all(w), [w], eps=1e-2)
+            T.grad_check(lambda: T.mse(w, 0.0), [w], eps=1e-2)
 
     def test_sampled_entries(self):
         w = T.Parameter(rand((10, 10), seed=39), "w")
-        err = T.grad_check(
-            lambda: T.mean_all(T.square(w)), [w], entries_per_param=5
-        )
+        err = T.grad_check(lambda: T.mse(w, 0.0), [w], entries_per_param=5)
         assert err <= 1e-9
 
     def test_higher_order_stencil(self):
-        # gelu(w) - w keeps every entry's gradient away from zero; w holds
-        # -0.748, next to gelu's stationary point, where a gradient carrying
-        # gelu'(w) as a factor is too small to certify at this tolerance.
+        # gelu(w) + w has a derivative of at least 0.8, which keeps every
+        # entry's gradient away from zero; w holds -0.748, next to gelu's
+        # stationary point, where a gradient carrying gelu'(w) as a factor is
+        # too small to certify at this tolerance.
         w = T.Parameter(rand((4, 4), seed=41), "w")
-        err = T.grad_check(
-            lambda: T.mean_all(T.square(T.sub(T.gelu(w), w))), [w], order=4
-        )
+        err = T.grad_check(lambda: T.mse(T.add(T.gelu(w), w), 0.0), [w], order=4)
         assert err <= 1e-9
         with pytest.raises(ValueError):
-            T.grad_check(lambda: T.mean_all(w), [w], order=3)
+            T.grad_check(lambda: T.mse(w, 0.0), [w], order=3)
 
     def test_finite_outputs_required(self):
         w = T.Parameter([[np.inf]], "w")
         with pytest.raises(FloatingPointError):
-            T.grad_check(lambda: T.mean_all(w), [w])
+            T.grad_check(lambda: T.mse(w, 0.0), [w])
 
 
 def test_forward_values_stay_finite_on_finite_inputs():
