@@ -2,8 +2,8 @@
 
 Builds a few computations out of the engine's primitives, runs reverse-mode
 backward passes, and verifies every gradient with central finite
-differences. Ends with the engine's own audit helper on an LSTM layer and on
-a miniature encode-decode composition.
+differences. Ends with the engine's own audit helper on a two-layer LSTM
+stack and on a miniature encode-decode composition.
 
 Run: python3 demos/demo_autodiff.py [--seed N]
 """
@@ -53,24 +53,24 @@ def attention_style_block(seed):
 
 
 def lstm_check(seed):
-    print("== one LSTM layer over a 4-row sequence, one tape node ==")
+    print("== a two-layer LSTM stack over a 4-row sequence, one tape node ==")
     rng = np.random.default_rng(seed)
     hidden = 5
-    params = {
-        "xs": T.Parameter(rng.normal(size=(4, 3)), "xs"),
-        "w_ih": T.Parameter(rng.normal(size=(3, 4 * hidden)) / 2.0, "w_ih"),
-        "w_hh": T.Parameter(rng.normal(size=(hidden, 4 * hidden)) / 2.0,
-                            "w_hh"),
-        "bias": T.Parameter(np.zeros((1, 4 * hidden)), "bias"),
-    }
+    params = {"xs": T.Parameter(rng.normal(size=(4, 3)), "xs")}
+    for layer, width in enumerate((3, hidden)):  # the top layer reads h below
+        params[f"w_ih{layer}"] = T.Parameter(
+            rng.normal(size=(width, 4 * hidden)) / 2.0, f"w_ih{layer}")
+        params[f"w_hh{layer}"] = T.Parameter(
+            rng.normal(size=(hidden, 4 * hidden)) / 2.0, f"w_hh{layer}")
+        params[f"bias{layer}"] = T.Parameter(np.zeros((1, 4 * hidden)),
+                                             f"bias{layer}")
 
     def f():
-        out = T.lstm(params["xs"], params["w_ih"], params["w_hh"],
-                     params["bias"])
-        return T.mse(out, 0.0)
+        # weights (w_ih, w_hh, bias) per layer, bottom layer first
+        return T.mse(T.lstm(*params.values()), 0.0)
 
     err = T.grad_check(f, params, eps=1e-5)
-    print(f"   max relative error across all 4 tensors: {err:.3e}\n")
+    print(f"   max relative error across all 7 tensors: {err:.3e}\n")
 
 
 def full_composition(seed):

@@ -452,11 +452,13 @@ def load_dataset(in_dir):
         samples, split = [], []
         for entry in manifest["samples"]:
             _, rows = read_csv(os.path.join(in_dir, entry["file"]))
-            size_cm = float(entry["size_cm"])
+            matrix, size_cm = np.array(rows, dtype=float), float(entry["size_cm"])
+            if matrix.shape != (manifest["p"], len(registry)):
+                raise ValueError(f"{entry['file']} is {'x'.join(map(str, matrix.shape))}, "
+                                 f"manifest expects {manifest['p']}x{len(registry)}")
             if not size_cm > 0.0:
                 raise ValueError(f"{entry['file']} has size_cm {size_cm}, not positive")
-            samples.append(TransientSample(np.array(rows, dtype=float),
-                                           Location(entry["location"]), size_cm))
+            samples.append(TransientSample(matrix, Location(entry["location"]), size_cm))
             split.append(entry["split"])
         norm = manifest["normalization"]
         return Dataset(

@@ -107,12 +107,9 @@ def lstm_traverse(seq, params):
     Returns the final cell state of the top layer.
     """
     n = seq.shape[0]
-    out = T.concat_rows([T.slice_rows(seq, 1, n), T.slice_rows(seq, 0, 1)])
-    for layer in range(LSTM_LAYERS):
-        if layer:
-            out = T.slice_rows(out, 0, n)  # the hidden states feed the next layer
-        out = T.lstm(out, *(params[f"enc.lstm{layer}.{w}"]
-                            for w in ("w_ih", "w_hh", "bias")))
+    rows = T.concat_rows([T.slice_rows(seq, 1, n), T.slice_rows(seq, 0, 1)])
+    out = T.lstm(rows, *(params[f"enc.lstm{layer}.{w}"] for layer in range(LSTM_LAYERS)
+                         for w in ("w_ih", "w_hh", "bias")))
     return T.slice_rows(out, n, n + 1)
 
 

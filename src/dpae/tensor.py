@@ -341,58 +341,93 @@ def dropout(a: Tensor, rate: float, rng) -> Tensor:
     return Tensor(a.data * keep, backward)
 
 
-def lstm(xs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
-    """One LSTM layer over the rows of xs, from a zero state, as one tape node.
+def lstm(xs: Tensor, *weights: Tensor) -> Tensor:
+    """Stacked LSTM layers over the rows of xs, from a zero state, as one tape node.
 
-    Gate order along the fused width-4H axis is (input, forget, cell, output).
-    Returns an (n + 1) x H tensor: the n hidden states, then the final cell
-    state. The backward pass runs the recurrence in reverse time, then forms
-    the weight, bias and input gradients as GEMMs over every step's dpre row.
+    `weights` holds (w_ih, w_hh, bias) for each layer, bottom layer first; every
+    layer has one hidden width H, and each upper layer reads the hidden states
+    of the layer below. Gate order along the fused width-4H axis is (input,
+    forget, cell, output). Returns the top layer's (n + 1) x H rows: its n
+    hidden states, then its final cell state.
+
+    The layers run as a wavefront: at step s, layer k processes row s - k, so
+    every layer's inputs come from step s - 1 and one stacked matmul per
+    product serves them all. The bottom layer's input products are the stacked
+    one-row products xs[:, None, :] @ w_ih, not the folded GEMM xs @ w_ih,
+    whose sums round differently. The backward runs the recurrence in reverse
+    time, top layer first, on the forward's arrays in place, then forms each
+    layer's weight, bias and input gradients as GEMMs over every step's dpre row.
     """
     if xs.data.ndim != 2 or xs.data.shape[0] < 1:
         raise ShapeError(f"lstm expects a nonempty matrix, got shape {xs.data.shape}")
-    n, width = xs.data.shape
-    hidden = w_hh.data.shape[0]
-    shapes = (w_ih.data.shape, w_hh.data.shape, bias.data.shape)
-    if shapes != ((width, 4 * hidden), (hidden, 4 * hidden), (1, 4 * hidden)):
-        raise ShapeError(f"lstm w_ih/w_hh/bias shapes {shapes} do not fit "
-                         f"width {width} and hidden width {hidden}")
-
-    h = c = np.zeros((1, hidden))
-    steps, rows = [], []
-    for t in range(n):
-        pre = xs.data[t:t + 1] @ w_ih.data + h @ w_hh.data + bias.data
-        gates = 1.0 / (1.0 + np.exp(-pre))
-        i, f = gates[:, :hidden], gates[:, hidden:2 * hidden]
-        o = gates[:, 3 * hidden:]
-        g_ = np.tanh(pre[:, 2 * hidden:3 * hidden])
-        c_prev, c = c, f * c + i * g_
-        tc = np.tanh(c)
-        h = o * tc
-        steps.append((c_prev, i, f, g_, o, tc))
-        rows.append(h)
-    data = np.concatenate(rows + [c], axis=0)
+    if not weights or len(weights) % 3:
+        raise ShapeError(f"lstm takes (w_ih, w_hh, bias) per layer, got {len(weights)} arrays")
+    (n, width), layers = xs.data.shape, len(weights) // 3
+    hidden = weights[1].data.shape[0]
+    for k in range(layers):
+        shapes = tuple(w.data.shape for w in weights[3 * k:3 * k + 3])
+        if shapes != ((width if k == 0 else hidden, 4 * hidden),
+                      (hidden, 4 * hidden), (1, 4 * hidden)):
+            raise ShapeError(f"lstm layer {k} w_ih/w_hh/bias shapes {shapes} do not "
+                             f"fit width {width} and hidden width {hidden}")
+    w_hh, bias = (np.stack([w.data for w in weights[j::3]]) for j in (1, 2))
+    w_up = np.array([w.data for w in weights[3::3]]).reshape(layers - 1, hidden, 4 * hidden)
+    steps = n + layers - 1
+    # Indexed by step, then layer. Every layer runs at every step; a layer's
+    # steps before its first row or after its last are never read.
+    ins = np.zeros((steps, layers, 1, 4 * hidden))  # input products
+    np.matmul(xs.data[:, None, :], weights[0].data, out=ins[:n, 0])
+    hs = np.zeros((steps + 1, layers, 1, hidden))  # hs[s + 1]: h after step s
+    cs = np.zeros_like(hs)
+    acts = np.empty((steps, layers, 1, 4 * hidden))  # i, f, tanh g, o
+    tcs = np.empty((steps, layers, 1, hidden))
+    pre = np.empty((layers, 1, 4 * hidden))
+    gate = [slice(j * hidden, (j + 1) * hidden) for j in range(4)]
+    for s, (h0, h1, c0, c1, x, act, i, f, g, o, tc) in enumerate(zip(
+            hs, hs[1:], cs, cs[1:], ins, acts, *(acts[..., j] for j in gate), tcs)):
+        np.matmul(h0[:-1], w_up, out=x[1:])
+        np.matmul(h0, w_hh, out=pre)
+        pre += x
+        pre += bias
+        np.negative(pre, out=act)
+        np.exp(act, out=act)
+        act += 1.0
+        np.divide(1.0, act, out=act)
+        np.tanh(pre[..., gate[2]], out=g)
+        np.multiply(f, c0, out=c1)
+        c1 += i * g
+        np.tanh(c1, out=tc)
+        np.multiply(o, tc, out=h1)
+        if s < layers - 1:  # layers above s + 1 start from a zero state
+            h1[s + 1:] = c1[s + 1:] = 0.0
+    data = np.concatenate([hs[layers:, -1, 0], cs[-1, -1]])
 
     def backward(grad):
-        c_prev, i, f, g_, o, tc = (np.concatenate(a) for a in zip(*steps))
-        oc = o * (1.0 - tc * tc)
-        fac = np.stack([g_ * i * (1.0 - i), c_prev * f * (1.0 - f),
-                        i * (1.0 - g_ * g_), tc * o * (1.0 - o)], axis=1)
-        dpre = np.empty((n, 4 * hidden))
-        by_gate = dpre.reshape(n, 4, hidden)
-        dh = np.zeros(hidden)
-        dc = grad[n]
-        for t in reversed(range(n)):
-            gh = grad[t] + dh
-            gc = dc + gh * oc[t]
-            np.multiply(gc, fac[t, :3], out=by_gate[t, :3])
-            np.multiply(gh, fac[t, 3], out=by_gate[t, 3])
-            dh = w_hh.data @ dpre[t]
-            dc = gc * f[t]
-        _accum(w_ih, xs.data.T @ dpre)
-        _accum(w_hh, data[:n - 1].T @ dpre[1:])  # h_0 = 0 adds nothing
-        _accum(bias, dpre.sum(axis=0, keepdims=True))
-        _accum(xs, dpre @ w_ih.data.T)
+        dx, dc0 = grad[:n], grad[n]
+        for k in reversed(range(layers)):
+            w_in, w_rec, b = weights[3 * k:3 * k + 3]
+            rows = slice(k, k + n)  # layer k's row t is at step t + k
+            act, c_prev, tc = acts[rows, k, 0], cs[rows, k, 0], tcs[rows, k, 0]
+            i, f, g_, o = (act[:, j] for j in gate)
+            oc = o * (1.0 - tc * tc)
+            fac = np.stack([g_ * i * (1.0 - i), c_prev * f * (1.0 - f),
+                            i * (1.0 - g_ * g_), tc * o * (1.0 - o)], axis=1)
+            dpre = np.empty((n, 4 * hidden))
+            by_gate = dpre.reshape(n, 4, hidden)
+            dh, dc = np.zeros(hidden), dc0
+            for t in reversed(range(n)):
+                gh = dx[t] + dh
+                gc = dc + gh * oc[t]
+                np.multiply(gc, fac[t, :3], out=by_gate[t, :3])
+                np.multiply(gh, fac[t, 3], out=by_gate[t, 3])
+                dh = w_rec.data @ dpre[t]
+                dc = gc * f[t]
+            inputs = xs.data if k == 0 else hs[rows, k - 1, 0]
+            _accum(w_in, inputs.T @ dpre)
+            _accum(w_rec, hs[k + 1:k + n, k, 0].T @ dpre[1:])  # h_0 = 0 adds nothing
+            _accum(b, dpre.sum(axis=0, keepdims=True))
+            dx, dc0 = dpre @ w_in.data.T, np.zeros(hidden)  # no upper layer reads c
+        _accum(xs, dx)
 
     return Tensor(data, backward)
 

@@ -545,6 +545,8 @@ MALFORMED = {
         c / "data/sample_0000.csv",
         lambda lines: lines[:1] + ["x" + lines[1][lines[1].index(","):]]
         + lines[2:])),
+    "sample_rows_cut": ("extract-latents", lambda c: edit_lines(
+        c / "data/sample_0003.csv", lambda lines: lines[:-5])),
     "latents_location_middle": ("train-heads", lambda c: edit_lines(
         c / "lat/latents.csv",
         lambda lines: replace_first(lines, ",cold_leg,", ",middle,"))),

@@ -255,6 +255,17 @@ class TestMasking:
 
 
 class TestDiskFormat:
+    @pytest.mark.parametrize("cut, shape", [(slice(0, -5), "35x8"), (slice(0, 1), "0")],
+                             ids=["five_rows", "header_only"])
+    def test_sample_of_the_wrong_shape_is_io_error(self, tmp_path, cut, shape):
+        D.save_dataset(D.generate_dataset(4, seed=22, p=40, registry=D.registry_for(8)),
+                       tmp_path)
+        path = tmp_path / "sample_0001.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[cut]))
+        with pytest.raises(IOError, match=f"sample_0001.csv is {shape}, "
+                                          "manifest expects 40x8"):
+            D.load_dataset(tmp_path)
+
     def test_save_load_roundtrip_bit_exact(self, tmp_path):
         ds = D.generate_dataset(6, seed=21, p=40, registry=D.registry_for(8))
         norm = D.normalize(ds)

@@ -560,6 +560,57 @@ class TestLstm:
                 np.testing.assert_allclose(got[name], older[name], rtol=1e-12,
                                            atol=0.0, err_msg=name)
 
+    def _stack(self, n, d, h, seed):
+        """xs and (w_ih, w_hh, bias) for two layers, bottom first, as Parameters."""
+        rng = np.random.default_rng(seed)
+        shapes = [(d, 4 * h), (h, 4 * h), (1, 4 * h), (h, 4 * h), (h, 4 * h), (1, 4 * h)]
+        return (T.Parameter(rng.uniform(-1.0, 1.0, (n, d)), "xs"),
+                [T.Parameter(rng.uniform(-0.5, 0.5, s), f"w{j}")
+                 for j, s in enumerate(shapes)])
+
+    @pytest.mark.parametrize("n, d, h", [(191, 40, 40), (33, 20, 20), (1, 40, 40)],
+                             ids=["paper", "desk", "one_row"])
+    def test_two_layers_match_two_chained_layers_bit_for_bit(self, n, d, h):
+        # The chain is the two one-layer ops with slice_rows between them, as
+        # the encoder ran its stack before the stacked op.
+        def chained(xs, w):
+            return T.lstm(T.slice_rows(T.lstm(xs, *w[:3]), 0, n), *w[3:])
+
+        target = rand((n + 1, h), seed=43)
+        got = []
+        for run in (chained, lambda xs, w: T.lstm(xs, *w)):
+            xs, w = self._stack(n, d, h, seed=42)
+            with T.tape():
+                out = run(xs, w)
+                T.backward(T.mse(out, target))
+            got.append([out.data, xs.grad] + [p.grad for p in w])
+        for name, want, have in zip(["out", "xs"] + [f"w{j}" for j in range(6)], *got):
+            assert have.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("n", [4, 1])
+    def test_gradient_two_layer_stack(self, n):
+        xs, w = self._stack(n, 3, 2, seed=44)
+
+        def f():
+            return T.mse(T.lstm(xs, *w), 0.0)
+
+        assert T.grad_check(f, [xs, *w], eps=1e-5) <= 1e-5
+
+    @pytest.mark.parametrize("drop", [slice(0, 5), slice(0, 4), slice(0, 0)],
+                             ids=["five_arrays", "four_arrays", "none"])
+    def test_weight_count_not_a_multiple_of_three_raises(self, drop):
+        xs, w = self._stack(4, 3, 2, seed=45)
+        with T.tape() as nodes, pytest.raises(T.ShapeError, match="per layer"):
+            T.lstm(xs, *w[drop])
+        assert nodes == []
+
+    def test_upper_layer_must_take_the_lower_hidden_width(self):
+        xs, w = self._stack(4, 3, 2, seed=46)
+        w[3] = T.Parameter(rand((3, 8), seed=47), "w_ih1")  # reads 3 columns, not 2
+        with T.tape() as nodes, pytest.raises(T.ShapeError, match="layer 1"):
+            T.lstm(xs, *w)
+        assert nodes == []
+
 
 def hex_digest(*arrays):
     h = hashlib.sha256()

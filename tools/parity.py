@@ -14,15 +14,19 @@ relative to that directory, the text gradcheck prints and the loss column of
 run/loss_history.csv. It also writes 128 paper-size latents: for seeds 0-15,
 DPAE(PAPER_PROFILE, seed) encodes the first 4 samples of a normalized 8-sample
 paper dataset of that seed, each clean (`latent_vector`) and then perturbed at
-(30 dB, 0.2) by `perturb_patches` from SeedSequence((seed, 1, i)). BLAS runs on
-one thread.
+(30 dB, 0.2) by `perturb_patches` from SeedSequence((seed, 1, i)). And it
+writes one paper-size `train_step` for seeds 0-3: on a fresh DPAE(PAPER_PROFILE,
+seed), the first train sample of the same dataset goes through the default
+5-setting schedule with rng SeedSequence((seed, 2)); the record keeps the 5
+losses and the sha256 of `params.data` after the step. BLAS runs on one thread.
 
 `compare` prints every file that differs or is missing on one side, the
 largest relative difference between the two loss columns when the loss history
-differs, the same for the paper latents when they differ, and the lines of the
-gradcheck output that differ; it exits 1 if there is any. Its last line counts
-the identical files and says whether the gradcheck output, the loss column and
-the paper latents are identical.
+differs, the same for the paper latents and for the paper train losses when
+they differ, and the lines of the gradcheck output that differ; it exits 1 if
+there is any. Its last line counts the identical files and says whether the
+gradcheck output, the loss column, the paper latents and the paper train step
+are identical.
 
 To check a change against its parent commit, run `run` on a copy of each
 tree (for example `git worktree add ../parent HEAD~1`, then `--repo
@@ -74,6 +78,26 @@ for seed in range(16):
 print(json.dumps(vectors))
 """
 
+# Prints the paper train steps described above as one JSON object.
+PAPER_TRAIN = """
+import hashlib, json
+import numpy as np
+from dpae import data as D
+from dpae import training as TR
+from dpae.model import DPAE, PAPER_PROFILE as P
+losses, digests = [], []
+for seed in range(4):
+    model = DPAE(P, seed)
+    ds = D.normalize(D.generate_dataset(8, seed, p=P.p,
+                                        registry=D.registry_for(P.l)))
+    x = ds.samples[ds.indices("train")[0]].matrix
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
+    losses.append(TR.train_step(x, model, TR.NAdamState(model.params),
+                                TR.TrainConfig(seed=seed), rng))
+    digests.append(hashlib.sha256(model.params.data.tobytes()).hexdigest())
+print(json.dumps({"losses": losses, "params_sha256": digests}))
+"""
+
 CHAIN = (
     ("gen-data", "--out", "data", "--count", "12", "--scale", "desk"),
     ("train-dpae", "--data", "data", "--out", "run", "--scale", "desk",
@@ -98,7 +122,8 @@ CHAIN = (
 def run_chain(repo):
     """{"files": {relative path: sha256}, "gradcheck_stdout": text,
     "losses": the loss column of the training history,
-    "paper_latents": 128 latent vectors}."""
+    "paper_latents": 128 latent vectors, "paper_train": {"losses": 4 x 5
+    losses, "params_sha256": 4 digests}}."""
     env = {k: v for k, v in os.environ.items() if k != "DPAE_OUTPUT_ROOT"}
     env["PYTHONPATH"] = os.path.join(os.path.abspath(repo), "src")
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -123,20 +148,23 @@ def run_chain(repo):
         with open(os.path.join(work, LOSSES), newline="") as fh:
             rows = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
             losses = [float(row["loss"]) for row in rows]
-        latents = subprocess.run([sys.executable, "-c", PAPER_LATENTS], cwd=work,
+        paper = {}
+        for key, script in (("paper_latents", PAPER_LATENTS),
+                            ("paper_train", PAPER_TRAIN)):
+            out = subprocess.run([sys.executable, "-c", script], cwd=work,
                                  env=env, capture_output=True, text=True)
-        if latents.returncode != 0:
-            sys.exit(f"paper latents exited {latents.returncode}:\n"
-                     f"{latents.stderr}")
+            if out.returncode != 0:
+                sys.exit(f"{key} exited {out.returncode}:\n{out.stderr}")
+            paper[key] = json.loads(out.stdout)
     return {"files": dict(sorted(files.items())),
-            "gradcheck_stdout": proc.stdout, "losses": losses,
-            "paper_latents": json.loads(latents.stdout)}
+            "gradcheck_stdout": proc.stdout, "losses": losses, **paper}
 
 
 def compare(a, b):
     """Lines that name each file differing or missing on one side (the loss
-    history with its largest relative loss difference), the paper latents
-    when they differ, then the gradcheck output lines that differ."""
+    history with its largest relative loss difference), the paper latents and
+    the paper train step when they differ, then the gradcheck output lines
+    that differ."""
     lines = []
     for path in sorted(a["files"].keys() | b["files"].keys()):
         if path not in b["files"]:
@@ -152,6 +180,10 @@ def compare(a, b):
         lines.append("differs: paper latents")
         lines.append(difference("paper latents", a.get("paper_latents"),
                                 b.get("paper_latents"), "vectors"))
+    if a.get("paper_train") != b.get("paper_train"):
+        lines.append("differs: paper train")
+        lines.append(difference("paper train losses", *(
+            doc.get("paper_train", {}).get("losses") for doc in (a, b)), "seeds"))
     if a["gradcheck_stdout"] != b["gradcheck_stdout"]:
         lines.append("differs: gradcheck stdout")
         lines += difflib.unified_diff(
@@ -213,7 +245,7 @@ def main(argv=None):
     same = sum(a[path] == b.get(path) for path in a)
     verdicts = [f"{label} {verdict(docs, key)}" for label, key in (
         ("gradcheck stdout", "gradcheck_stdout"), ("loss column", "losses"),
-        ("paper latents", "paper_latents"))]
+        ("paper latents", "paper_latents"), ("paper train", "paper_train"))]
     print(f"{same} of {len(a.keys() | b.keys())} files identical; "
           + "; ".join(verdicts))
     return 1 if lines else 0
