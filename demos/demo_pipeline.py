@@ -93,9 +93,6 @@ def main():
     print("== 4. diagnosis: latent heads vs end-to-end on raw inputs ==")
     Zt, Ft, yt = encode_split(model, ds, train_idx, seed, tag=41)
     Ze, Fe, ye = encode_split(model, ds, test_idx, seed, tag=42)
-    y_cla = [H.CLASS_ORDER.index(lb.location) for lb in ye]
-    y_reg = np.array([lb.size_cm for lb in ye])
-    scores = {}
     for name, fit, Xt, Xe, kind in (
             ("latent MLP", H.fit_mlp_head, Zt, Ze, "mlp"),
             ("end-to-end", H.fit_end_to_end, Ft, Fe, "end_to_end_mlp")):
@@ -103,10 +100,8 @@ def main():
                      task="classify")
         reg, _ = fit(Xt, yt, config=H.HeadConfig(kind=kind, seed=seed + 1),
                      task="regress")
-        pred = np.argmax(np.atleast_2d(H.predict(cla, Xe)), axis=1)
-        f1 = M.macro_f1(M.confusion_matrix(y_cla, pred.tolist(), 2))
-        rmse = M.rmse(np.atleast_1d(H.predict(reg, Xe)), y_reg)
-        scores[name] = (f1, rmse)
+        f1 = H.score(cla, Xe, ye)["macro_f1"]
+        rmse = H.score(reg, Xe, ye)["rmse"]
         print(f"   {name:11s} location macro-F1 {f1:.3f}   "
               f"size RMSE {rmse:.2f} cm")
     print("   (scores at demo size are noisy; the acceptance suite runs "

@@ -268,6 +268,10 @@ def cmd_train_heads(cfg, args):
         Z, labels = _read_latents_csv(args.latents)
         if len(labels) != len(dataset.samples):
             raise UsageError("latents row count does not match dataset")
+        for i, (lb, s) in enumerate(zip(labels, dataset.samples)):
+            if (lb.location, lb.size_cm) != (s.location, s.size_cm):
+                raise UsageError(f"latents row {i} does not carry the location and "
+                                 f"size of the dataset's sample {i}")
         by_latents = ([Z[i] for i in train_idx], [labels[i] for i in train_idx])
     if not all(on_latents):
         # The grid of the profile the dataset was generated at.
@@ -307,31 +311,8 @@ def cmd_evaluate(cfg, args):
     patches, labels = _inputs(cfg, _TAG_EVAL, dataset, test_idx, model.grid)
     Zs = np.concatenate([model.encode(xp)[0].data for xp in patches])
     flats = np.stack([D.unpatchify(xp, model.grid).reshape(-1) for xp in patches])
-    y_cla = np.array([H.CLASS_ORDER.index(lb.location) for lb in labels])
-    y_reg = np.array([lb.size_cm for lb in labels])
-
-    results = {}
-    for name, head in heads.items():
-        X = flats if name.startswith("e2e") else Zs
-        if name.endswith("_cla"):
-            pred = np.argmax(H.predict(head, X), axis=1)
-            counts = M.confusion_matrix(y_cla.tolist(), pred.tolist(), 2)
-            per_class = {}
-            for cls_idx, loc in enumerate(H.CLASS_ORDER):
-                value, degenerate = M.f1(counts[cls_idx], with_flag=True)
-                per_class[loc.value] = {
-                    "f1": value,
-                    "degenerate": degenerate,
-                    "precision": M.precision(counts[cls_idx]),
-                    "recall": M.recall(counts[cls_idx]),
-                }
-            results[name] = {
-                "macro_f1": M.macro_f1(counts),
-                "accuracy": float(np.mean(pred == y_cla)),
-                "per_class": per_class,
-            }
-        else:
-            results[name] = {"rmse": M.rmse(H.predict(head, X), y_reg)}
+    results = {name: H.score(head, flats if name.startswith("e2e") else Zs, labels)
+               for name, head in heads.items()}
 
     payload = {
         **_stamp(cfg, "evaluate", {

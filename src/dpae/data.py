@@ -458,8 +458,12 @@ def load_dataset(in_dir):
                                  f"manifest expects {manifest['p']}x{len(registry)}")
             if not size_cm > 0.0:
                 raise ValueError(f"{entry['file']} has size_cm {size_cm}, not positive")
+            if entry["split"] not in ("train", "test"):
+                raise ValueError(f"{entry['file']} has split {entry['split']!r}, not train or test")
             samples.append(TransientSample(matrix, Location(entry["location"]), size_cm))
             split.append(entry["split"])
+        if "train" not in split:
+            raise ValueError("no sample is in the train split")
         norm = manifest["normalization"]
         return Dataset(
             samples=samples,

@@ -15,10 +15,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import metrics as M
 from . import tensor as T
 from .data import Location, read_json, write_json
 from .encoder import dense, init_dense
-from .training import NAdamState, nadam_step, read_checkpoint, save_params
+from .training import NAdamState, read_checkpoint, save_params, update
 
 # Fixed class order for location classification.
 CLASS_ORDER = (Location.COLD_LEG, Location.HOT_LEG)
@@ -26,6 +27,11 @@ CLASS_ORDER = (Location.COLD_LEG, Location.HOT_LEG)
 # Hidden layer widths of the latent MLP heads and of the end-to-end network.
 LATENT_HIDDEN = (64, 32)
 END_TO_END_HIDDEN = (256, 64)
+
+# Share of each location's rows a network fit validates on, and the relative
+# validation-loss gain over the early-stop window below which the fit stops.
+VAL_FRACTION = 0.2
+EARLY_STOP_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,6 @@ class HeadConfig:
     tree_count: int = 50
     max_depth: int = 8
     early_stop_window: int = 20
-    early_stop_threshold: float = 0.01
-    val_fraction: float = 0.2
     max_epochs: int = 500
     lr: float = 0.01
     lr_decay: float = 1.0
@@ -64,10 +68,6 @@ class HeadConfig:
             raise ValueError("lr must be positive and finite")
         if self.early_stop_window < 1:
             raise ValueError("early_stop_window must be at least 1")
-        if not (self.early_stop_threshold > 0.0):
-            raise ValueError("early_stop_threshold must be positive")
-        if not (0.0 < self.val_fraction < 1.0):
-            raise ValueError("val_fraction outside (0, 1)")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("lr_decay outside (0, 1]")
 
@@ -147,7 +147,7 @@ def _check_inputs(X, labels, task):
             raise ValueError("classification needs both locations present")
 
 
-def _stratified_split(labels, val_fraction, rng):
+def _stratified_split(labels, rng):
     """Per-location shuffle; returns (train_idx, val_idx) index lists."""
     train_idx, val_idx = [], []
     for loc in CLASS_ORDER:
@@ -155,7 +155,7 @@ def _stratified_split(labels, val_fraction, rng):
         if not members:
             continue
         order = rng.permutation(len(members))
-        n_val = max(1, int(round(val_fraction * len(members)))) \
+        n_val = max(1, int(round(VAL_FRACTION * len(members)))) \
             if len(members) >= 2 else 0
         for j, k in enumerate(order):
             (val_idx if j < n_val else train_idx).append(members[k])
@@ -176,17 +176,27 @@ def early_stop_epoch(val_losses, window, threshold):
     return None
 
 
-def _fit_metrics(head, X, y, **splits):
-    """Accuracy (classify) or RMSE (regress) over each named row split."""
-    out = {}
-    for name, idx in splits.items():
-        pred = predict(head, X[idx])
-        if head.task == "classify":
-            hit = np.argmax(pred, axis=1) == y[idx]
-            out[f"{name}_accuracy"] = float(np.mean(hit))
-        else:
-            out[f"{name}_rmse"] = float(np.sqrt(np.mean((pred - y[idx]) ** 2)))
-    return out
+def score(head, X, labels):
+    """A classifier's macro-F1, accuracy and per-class F1 (degenerate without a
+    true positive), precision and recall on rows X, or a regressor's RMSE."""
+    pred, y = predict(head, X), _targets(labels, head.task)
+    if head.task == "regress":
+        return {"rmse": M.rmse(pred, y)}
+    pred = np.argmax(pred, axis=1)
+    counts = M.confusion_matrix(y.tolist(), pred.tolist(), len(CLASS_ORDER))
+    return {"macro_f1": M.macro_f1(counts),
+            "accuracy": float(np.mean(pred == y)),
+            "per_class": {loc.value: {"f1": M.f1(c), "degenerate": c.tp == 0,
+                                      "precision": M.precision(c),
+                                      "recall": M.recall(c)}
+                          for loc, c in zip(CLASS_ORDER, counts)}}
+
+
+def _fit_metrics(head, X, labels, **splits):
+    """`score`'s accuracy (classify) or RMSE (regress) over each named row split."""
+    key = "accuracy" if head.task == "classify" else "rmse"
+    return {f"{name}_{key}": score(head, X[idx], [labels[i] for i in idx])[key]
+            for name, idx in splits.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -209,32 +219,28 @@ def _fit_network(vectors, labels, task, hidden, config):
     y = _targets(labels, task)
     rng_split = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     rng_init = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
-    train_idx, val_idx = _stratified_split(labels, config.val_fraction, rng_split)
-    if task == "classify" and len({int(v) for v in y[train_idx]}) < 2:
-        raise ValueError("classification needs both locations present")
+    train_idx, val_idx = _stratified_split(labels, rng_split)
+    X_train, y_train, X_val, y_val = X[train_idx], y[train_idx], X[val_idx], y[val_idx]
 
     params = T.Parameters(init_dense({}, "", widths, rng_init))
     state = NAdamState(params)
     report = FitReport(param_count=params.data.size)
 
     for epoch in range(config.max_epochs):
-        with T.tape():
-            loss = _network_loss(params, widths, X[train_idx], y[train_idx], task)
-            T.zero_grads(params)
-            T.backward(loss)
-        nadam_step(params, params.grad, state, config.lr * config.lr_decay ** epoch)
-        report.train_curve.append(loss.item())
-        val_loss = _network_loss(params, widths, X[val_idx], y[val_idx], task)
-        report.val_curve.append(val_loss.item())
+        report.train_curve.append(update(
+            params, state, config.lr * config.lr_decay ** epoch,
+            lambda: _network_loss(params, widths, X_train, y_train, task)))
+        report.val_curve.append(
+            _network_loss(params, widths, X_val, y_val, task).item())
         report.stopping_epoch += 1
         if early_stop_epoch(report.val_curve, config.early_stop_window,
-                            config.early_stop_threshold) is not None:
+                            EARLY_STOP_THRESHOLD) is not None:
             break
     for p in (params, *params.values()):  # predictions need no gradients
         p.grad = None
 
     head = MlpHead(task=task, widths=tuple(widths), params=params)
-    report.final_metrics = _fit_metrics(head, X, y, train=train_idx,
+    report.final_metrics = _fit_metrics(head, X, labels, train=train_idx,
                                         val=val_idx)
     return head, report
 
@@ -375,7 +381,7 @@ def fit_random_forest(latents, labels, config=None, task="classify"):
     forest = Forest(task, d, feature[row], threshold[row],
                     np.where(right > here, here + 1, here), right, value[row],
                     np.searchsorted(tree[row], np.arange(trees)))
-    metrics = _fit_metrics(forest, X, y, train=slice(None))
+    metrics = _fit_metrics(forest, X, labels, train=range(n))
     return forest, FitReport(param_count=row.size, final_metrics=metrics)
 
 
@@ -467,9 +473,19 @@ def _forest_from_doc(doc, path):
                   right, value, roots)
 
 
+def _fresh_head(meta):
+    """The untrained MLP head a checkpoint's meta declares: its layout's template."""
+    if meta["task"] not in ("classify", "regress"):
+        raise ValueError(f"unknown head task {meta['task']!r}")
+    if len(meta["widths"]) < 2 or min(meta["widths"]) < 1:
+        raise ValueError(f"head widths {meta['widths']} are not two or more "
+                         f"sizes of at least 1")
+    return MlpHead(meta["task"], tuple(meta["widths"]), T.Parameters(
+        init_dense({}, "", meta["widths"], np.random.default_rng(0))))
+
+
 def load_head(dir_path):
     forest_path = os.path.join(dir_path, "forest.json")
     if os.path.exists(forest_path):
         return _forest_from_doc(read_json(forest_path), forest_path)
-    params, meta = read_checkpoint(dir_path, "head")
-    return MlpHead(task=meta["task"], widths=tuple(meta["widths"]), params=params)
+    return read_checkpoint(dir_path, "head", _fresh_head)[0]

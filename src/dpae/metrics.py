@@ -55,20 +55,17 @@ def recall(counts):
     return counts.tp / (counts.tp + counts.fn)
 
 
-def f1(counts, with_flag=False):
+def f1(counts):
     """Harmonic mean of precision and recall for one class.
 
     A class with no true positives has undefined precision or recall; its
-    F1 is defined as 0 and flagged degenerate.
+    F1 is defined as 0.
     """
-    degenerate = counts.tp == 0
-    if degenerate:
-        value = 0.0
-    else:
-        p = precision(counts)
-        r = recall(counts)
-        value = 2.0 * p * r / (p + r)
-    return (value, degenerate) if with_flag else value
+    if counts.tp == 0:
+        return 0.0
+    p = precision(counts)
+    r = recall(counts)
+    return 2.0 * p * r / (p + r)
 
 
 def macro_f1(counts_per_class):

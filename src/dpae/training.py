@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import atomic_write, read_json, write_csv, write_json
-from .encoder import init_dense, perturb_patches
+from .encoder import perturb_patches
 from .model import DPAE, ModelProfile
 
 DEFAULT_CURRICULUM = (
@@ -112,18 +112,24 @@ def nadam_step(params, grad, state, lr):
     state.t = t
 
 
+def update(params, state, lr, objective):
+    """One NAdam step of `params` down the gradient of `objective()`, recorded
+    on a fresh tape; returns the loss before the step."""
+    with T.tape():
+        loss = objective()
+        T.zero_grads(params)
+        T.backward(loss)
+    nadam_step(params, params.grad, state, lr)
+    return loss.item()
+
+
 def train_step(x, model, state, config, rng):
     """One sample through the full perturbation schedule; returns the losses."""
     losses = []
     for snr_db, ratio_pad in config.curriculum:
         xp, _ = perturb_patches(x, snr_db, ratio_pad, model.grid, rng)
-        with T.tape():
-            recon, _ = model.reconstruct(xp, rng)
-            loss = mse_loss(x, recon)
-            T.zero_grads(model.params)
-            T.backward(loss)
-        nadam_step(model.params, model.params.grad, state, config.lr_ini)
-        losses.append(loss.item())
+        losses.append(update(model.params, state, config.lr_ini,
+                             lambda: mse_loss(x, model.reconstruct(xp, rng)[0])))
     return losses
 
 
@@ -195,9 +201,9 @@ def save_params(params, dir_path, meta):
                 "total_size": params.data.size})
 
 
-def read_checkpoint(dir_path, kind):
-    """The model (kind "dpae") or head parameters (kind "head") a checkpoint's
-    meta declares, filled from its payload, and that meta.
+def read_checkpoint(dir_path, kind, build):
+    """The model or head `build(meta)` makes from a checkpoint's meta (kind
+    "dpae" or "head"), its parameters filled from the payload, and that meta.
 
     A fresh build is the layout's only declaration: the manifest's entries and
     the payload size must match it. A missing, ill-typed or mismatched field
@@ -209,8 +215,7 @@ def read_checkpoint(dir_path, kind):
         meta = manifest["meta"]
         if meta["kind"] != kind:
             raise ValueError(f"its kind is {meta['kind']!r}, not {kind!r}")
-        built = _build(kind, meta)
-        params = getattr(built, "params", built)
+        params = (built := build(meta)).params
         if manifest["parameters"] != params.layout \
                 or len(payload) != 8 * params.data.size:
             raise ValueError(f"its parameter layout or payload size ({len(payload)} "
@@ -222,17 +227,10 @@ def read_checkpoint(dir_path, kind):
     return built, meta
 
 
-def _build(kind, meta):
-    if kind == "dpae":
-        prof = meta["profile"]
-        return DPAE(ModelProfile(**{**prof, "head_widths": tuple(prof["head_widths"])}),
-                    seed=meta["seed"])
-    if meta["task"] not in ("classify", "regress"):
-        raise ValueError(f"unknown head task {meta['task']!r}")
-    if len(meta["widths"]) < 2 or min(meta["widths"]) < 1:
-        raise ValueError(f"head widths {meta['widths']} are not two or more "
-                         f"sizes of at least 1")
-    return T.Parameters(init_dense({}, "", meta["widths"], np.random.default_rng(0)))
+def _fresh_dpae(meta):
+    prof = meta["profile"]
+    return DPAE(ModelProfile(**{**prof, "head_widths": tuple(prof["head_widths"])}),
+                seed=meta["seed"])
 
 
 def save_checkpoint(model, dir_path, config=None, history=None):
@@ -253,4 +251,4 @@ def save_checkpoint(model, dir_path, config=None, history=None):
 
 def load_checkpoint(dir_path):
     """Rebuild the model from a checkpoint; values restore bit-exactly."""
-    return read_checkpoint(dir_path, "dpae")
+    return read_checkpoint(dir_path, "dpae", _fresh_dpae)

@@ -133,7 +133,9 @@ class TestGenData:
                     {"train": {"lr_ini": -0.001}}, {"train": {"lr_ini": 0}},
                     {"train": {"checkpoint_interval": -3}}, {"ratio_pad": 2},
                     {"ratio_pad": -0.1}, {"heads": {"tree_count": 0}},
-                    {"count": 3}, {"seed": -1}):
+                    {"count": 3}, {"seed": -1},
+                    {"heads": {"val_fraction": 0.2}},
+                    {"heads": {"early_stop_threshold": 0.01}}):
             cfg_path.write_text(json.dumps(doc))
             assert run_cli("gen-data", "--config", str(cfg_path),
                            "--out", str(tmp_path / "x")) == 1, doc
@@ -306,6 +308,20 @@ class TestTrainHeads:
                        os.path.join(ws.lat, "latents.csv"),
                        "--out", str(tmp_path / "h"), "--head", "mlp",
                        "--seed", SEED) == 1
+
+    def test_latents_of_another_dataset_are_usage_error(self, ws, tmp_path,
+                                                         capsys):
+        # Another seed draws other sizes and another split, so fitting on its
+        # train rows would fit on some of the latents' test rows.
+        other, out = str(tmp_path / "other"), tmp_path / "h"
+        assert run_cli("gen-data", "--out", other, "--count", COUNT,
+                       "--scale", "desk", "--seed", "8") == 0
+        assert run_cli("train-heads", "--latents",
+                       os.path.join(ws.lat, "latents.csv"), "--data", other,
+                       "--out", str(out), "--head", "mlp", "--seed", SEED) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: latents row 0 does not carry the location and size")
+        assert not out.exists()
 
     def test_end_to_end_grid_comes_from_the_dataset(self, paper_data, tmp_path):
         # No --scale: the paper dataset alone picks the paper patch grid.
@@ -687,6 +703,23 @@ class TestExitCodesAndLocking:
         assert run_cli(*argv) == 3
         assert capsys.readouterr().err.startswith("i/o error:")
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["train-dpae", "train-heads"])
+    def test_dataset_without_a_train_split_is_io_error(self, ws, tmp_path,
+                                                       capsys, command):
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(ws.data, data)
+        edit_json(data / "manifest.json", lambda d: [
+            s.update(split=s["split"].replace("train", "Train"))
+            for s in d["samples"]])
+        argv = [command, "--data", str(data), "--out", str(out), "--seed", SEED]
+        if command == "train-heads":
+            argv += ["--latents", os.path.join(ws.lat, "latents.csv"),
+                     "--head", "mlp"]
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "split 'Train'" in err
+        assert not out.exists()
 
     def test_malformed_band_is_usage_error(self, ws, tmp_path, capsys):
         for band in ("abc", "14,6", "nan,1"):

@@ -284,6 +284,19 @@ class TestDiskFormat:
             c.node_name for c in norm.registry
         ]
 
+    @pytest.mark.parametrize("relabel, message", [
+        (lambda split: ["Train" if s == "train" else s for s in split],
+         "sample_0002.csv has split 'Train', not train or test"),
+        (lambda split: ["test"] * len(split), "no sample is in the train split")],
+        ids=["capitalised_train", "all_test"])
+    def test_split_without_a_train_sample_is_io_error(self, tmp_path, relabel,
+                                                       message):
+        ds = D.generate_dataset(6, seed=21, p=40, registry=D.registry_for(8))
+        ds.split = relabel(ds.split)
+        D.save_dataset(ds, tmp_path)
+        with pytest.raises(IOError, match=message):
+            D.load_dataset(tmp_path)
+
     def test_csv_header_is_node_names(self, tmp_path):
         ds = D.generate_dataset(4, seed=22, p=40, registry=D.registry_for(8))
         D.save_dataset(ds, tmp_path)

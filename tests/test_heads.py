@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dpae import heads as H
+from dpae import metrics as M
 from dpae import tensor as T
 from dpae.data import Location
 
@@ -31,11 +32,7 @@ class TestLabelAndConfig:
         with pytest.raises(ValueError):
             H.HeadConfig(early_stop_window=0)
         with pytest.raises(ValueError):
-            H.HeadConfig(early_stop_threshold=0.0)
-        with pytest.raises(ValueError):
             H.HeadConfig(kind="svm")
-        with pytest.raises(ValueError):
-            H.HeadConfig(val_fraction=1.0)
         with pytest.raises(ValueError):
             H.HeadConfig(tree_count=0)
 
@@ -50,6 +47,50 @@ class TestLabelAndConfig:
     def test_smallest_valid_values_accepted(self):
         cfg = H.HeadConfig(max_epochs=1, max_depth=0, lr=1e-300)
         assert (cfg.max_epochs, cfg.max_depth, cfg.lr) == (1, 0, 1e-300)
+
+
+def inline_evaluate_block(head, X, labels):
+    """The metrics block `evaluate` built for a head before `H.score`, written
+    out as it was; `degenerate` is the flag `M.f1` returned with its value."""
+    y_cla = np.array([H.CLASS_ORDER.index(lb.location) for lb in labels])
+    y_reg = np.array([lb.size_cm for lb in labels])
+    if head.task == "regress":
+        return {"rmse": M.rmse(H.predict(head, X), y_reg)}
+    pred = np.argmax(H.predict(head, X), axis=1)
+    counts = M.confusion_matrix(y_cla.tolist(), pred.tolist(), 2)
+    per_class = {}
+    for cls_idx, loc in enumerate(H.CLASS_ORDER):
+        per_class[loc.value] = {
+            "f1": M.f1(counts[cls_idx]),
+            "degenerate": counts[cls_idx].tp == 0,
+            "precision": M.precision(counts[cls_idx]),
+            "recall": M.recall(counts[cls_idx]),
+        }
+    return {"macro_f1": M.macro_f1(counts),
+            "accuracy": float(np.mean(pred == y_cla)),
+            "per_class": per_class}
+
+
+class TestScore:
+    @pytest.mark.parametrize("task", ["classify", "regress"])
+    @pytest.mark.parametrize("fit", [H.fit_mlp_head, H.fit_random_forest],
+                             ids=["mlp", "forest"])
+    def test_equals_the_block_evaluate_built_inline(self, fit, task):
+        latents, labels = blob_toy(seed=4)
+        labels = [H.DiagnosisLabel(lb.location, 1.0 + i)
+                  for i, lb in enumerate(labels)]
+        head, _ = fit(latents, labels, task=task,
+                      config=H.HeadConfig(max_epochs=20, tree_count=5))
+        # Overlapping blobs, so some rows are misclassified; the first 10
+        # rows are all cold leg, so the hot leg has no true positive.
+        probe, truth = blob_toy(seed=5, sigma=6.0)
+        for rows in (slice(None), slice(0, 10)):
+            X, lbs = np.stack(probe)[rows], truth[rows]
+            got, want = H.score(head, X, lbs), inline_evaluate_block(head, X, lbs)
+            assert json.dumps(got) == json.dumps(want)  # keys, order, types
+            assert got == want
+        if task == "classify":
+            assert got["per_class"]["hot_leg"]["degenerate"] is True
 
 
 class TestEarlyStop:
@@ -123,7 +164,7 @@ class TestMlpClassify:
         cfg = H.HeadConfig(seed=1)
         _, report = H.fit_mlp_head(latents, labels, config=cfg, task="classify")
         stop = H.early_stop_epoch(report.val_curve, cfg.early_stop_window,
-                                  cfg.early_stop_threshold)
+                                  H.EARLY_STOP_THRESHOLD)
         if report.stopping_epoch < cfg.max_epochs:
             assert stop == report.stopping_epoch
         assert len(report.train_curve) == report.stopping_epoch

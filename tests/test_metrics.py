@@ -4,7 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dpae import heads as H
 from dpae import metrics as M
+from dpae import tensor as T
+from dpae.data import Location
+
+
+def scored_cold_leg(counts):
+    """`H.score`'s cold-leg block for a classifier that calls x < 0 cold and
+    x > 0 hot, on rows that give the cold leg these one-vs-rest counts."""
+    head = H.MlpHead("classify", (1, 2), T.Parameters(
+        {"w0": np.array([[-1.0, 1.0]]), "b0": np.zeros((1, 2))}))
+    cells = ((-1.0, Location.COLD_LEG, counts.tp), (-1.0, Location.HOT_LEG, counts.fp),
+             (1.0, Location.COLD_LEG, counts.fn), (1.0, Location.HOT_LEG, counts.tn))
+    rows = [(x, loc) for x, loc, n in cells for _ in range(n)]
+    X = np.array([[x] for x, _ in rows])
+    labels = [H.DiagnosisLabel(loc, 1.0) for _, loc in rows]
+    return H.score(head, X, labels)["per_class"]["cold_leg"]
 
 
 class TestF1:
@@ -17,12 +33,15 @@ class TestF1:
 
     def test_no_true_positives_flagged(self):
         c = M.ConfusionCounts(tp=0, fp=3, fn=2, tn=1)
-        value, degenerate = M.f1(c, with_flag=True)
-        assert value == 0.0 and degenerate
+        assert M.f1(c) == 0.0
+        assert scored_cold_leg(c) == {"f1": 0.0, "degenerate": True,
+                                      "precision": 0.0, "recall": 0.0}
 
     def test_healthy_case_not_flagged(self):
-        value, degenerate = M.f1(M.ConfusionCounts(4, 1, 1, 4), with_flag=True)
-        assert not degenerate and 0.0 < value <= 1.0
+        c = M.ConfusionCounts(4, 1, 1, 4)
+        assert abs(M.f1(c) - 0.8) < 1e-15
+        assert scored_cold_leg(c) == {"f1": M.f1(c), "degenerate": False,
+                                      "precision": 0.8, "recall": 0.8}
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
