@@ -20,27 +20,15 @@ import numpy as np
 
 from dpae import data as D
 from dpae import heads as H
-from dpae import interpret as I
 from dpae import metrics as M
+from dpae import pipeline as P
 from dpae import training as TR
-from dpae.encoder import perturb_patches
 from dpae.model import DPAE, DESK_PROFILE
 
 
-def perturb(x, snr_db, ratio_pad, grid, rng):
-    return D.unpatchify(perturb_patches(x, snr_db, ratio_pad, grid, rng)[0], grid)
-
-
 def encode_split(model, ds, idx, seed, tag):
-    Z, flats, labels = [], [], []
-    for i in idx:
-        sample = ds.samples[i]
-        rng = np.random.default_rng(np.random.SeedSequence((seed, tag, i)))
-        xp = perturb(sample.matrix, 30.0, 0.20, model.grid, rng)
-        Z.append(model.latent_vector(xp))
-        flats.append(xp.reshape(-1))
-        labels.append(H.DiagnosisLabel(sample.location, sample.size_cm))
-    return np.stack(Z), np.stack(flats), labels
+    patches, labels = P.inputs(ds, idx, model.grid, 30.0, 0.20, seed, tag)
+    return (*P.routes(model, patches), labels)
 
 
 def main():
@@ -78,9 +66,7 @@ def main():
         ratios = []
         for i in test_idx:
             x = ds.samples[i].matrix
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, 40, i)))
-            xp, _ = perturb_patches(x, snr_db, ratio_pad, model.grid, rng)
+            xp, _ = P.perturbed(x, snr_db, ratio_pad, model.grid, seed, 40, i)
             recon, _ = model.reconstruct(xp)
             report = M.reconstruction_report(
                 x, D.unpatchify(xp, model.grid), recon.data)
@@ -93,15 +79,13 @@ def main():
     print("== 4. diagnosis: latent heads vs end-to-end on raw inputs ==")
     Zt, Ft, yt = encode_split(model, ds, train_idx, seed, tag=41)
     Ze, Fe, ye = encode_split(model, ds, test_idx, seed, tag=42)
-    for name, fit, Xt, Xe, kind in (
-            ("latent MLP", H.fit_mlp_head, Zt, Ze, "mlp"),
-            ("end-to-end", H.fit_end_to_end, Ft, Fe, "end_to_end_mlp")):
-        cla, _ = fit(Xt, yt, config=H.HeadConfig(kind=kind, seed=seed),
-                     task="classify")
-        reg, _ = fit(Xt, yt, config=H.HeadConfig(kind=kind, seed=seed + 1),
-                     task="regress")
-        f1 = H.score(cla, Xe, ye)["macro_f1"]
-        rmse = H.score(reg, Xe, ye)["rmse"]
+    configs = {f"{route}_{task}": H.HeadConfig(seed=seed + k)
+               for route in ("mlp", "e2e") for k, task in enumerate(("cla", "reg"))}
+    heads = {name: head for name, (head, _) in
+             P.fit_heads(configs, Zt, Ft, yt).items()}
+    for name, route, Xe in (("latent MLP", "mlp", Ze), ("end-to-end", "e2e", Fe)):
+        f1 = H.score(heads[f"{route}_cla"], Xe, ye)["macro_f1"]
+        rmse = H.score(heads[f"{route}_reg"], Xe, ye)["rmse"]
         print(f"   {name:11s} location macro-F1 {f1:.3f}   "
               f"size RMSE {rmse:.2f} cm")
     print("   (scores at demo size are noisy; the acceptance suite runs "
@@ -110,23 +94,13 @@ def main():
     print("== 5. interpretation cascade ==")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 43)))
     bg = Zt[rng.choice(len(Zt), size=min(16, len(Zt)), replace=False)]
-    cla, _ = H.fit_mlp_head(Zt, yt, config=H.HeadConfig(kind="mlp",
-                                                        seed=seed),
-                            task="classify")
-    reg, _ = H.fit_mlp_head(Zt, yt, config=H.HeadConfig(kind="mlp",
-                                                        seed=seed + 1),
-                            task="regress")
-    cfg = I.ShapConfig(background=bg, coalition_samples=128, seed=seed)
     pick = rng.choice(len(Ze), size=min(3, len(Ze)), replace=False)
-    phi_cla = np.stack([I.kernel_shap(I.classifier_fn(cla), Ze[i], cfg).phi
-                        for i in pick])
-    phi_reg = np.stack([I.kernel_shap(I.regressor_fn(reg), Ze[i], cfg).phi
-                        for i in pick])
-    phi = I.latent_importance(phi_cla, phi_reg)
+    report = P.cascade(model, heads["mlp_cla"], heads["mlp_reg"], Ze[pick], bg,
+                       [s.matrix for s in ds.samples[:8]],
+                       {"coalition_samples": 128, "seed": seed})
+    phi = report.phi
     print(f"   latent importance phi: length {phi.size}, "
           f"sum {phi.sum():.6f}, top dims {np.argsort(-phi)[:3].tolist()}")
-    band = [s.matrix for s in ds.samples]
-    report = I.parameter_importance(model, band[:8], phi)
     names = [c.node_name for c in ds.registry]
     ranked = ", ".join(names[c] for c in report.ranking[:3])
     print(f"   channel importance Psi: length {len(report.psi)}; "

@@ -22,10 +22,10 @@ from . import data as D
 from . import heads as H
 from . import interpret as I
 from . import metrics as M
+from . import pipeline as P
 from . import tensor as T
 from . import training as TR
 from .config import ExperimentConfig, resolve_config
-from .encoder import perturb_patches
 from .model import DESK_PROFILE, DPAE, PAPER_PROFILE, ModelProfile
 
 OUTPUT_ROOT_ENV = "DPAE_OUTPUT_ROOT"
@@ -102,24 +102,6 @@ def _stamp(cfg, command, extra=None):
 # ---------------------------------------------------------------------------
 # shared loading helpers
 
-def _perturbed(cfg, tag, index, x, grid):
-    """Sample `index`'s perturbation in seed stream `tag`: N x D patches, row mask."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag, index)))
-    return perturb_patches(x, cfg.snr_db, cfg.ratio_pad, grid, rng)
-
-
-def _inputs(cfg, tag, dataset, idx, grid):
-    """The N x D patches of samples `idx`, each perturbed in seed stream `tag`
-    (only patchified if `tag` is None), and their diagnosis labels."""
-    patches, labels = [], []
-    for i in idx:
-        s = dataset.samples[i]
-        patches.append(D.patchify(s.matrix, grid) if tag is None else
-                       _perturbed(cfg, tag, i, s.matrix, grid)[0])
-        labels.append(H.DiagnosisLabel(s.location, s.size_cm))
-    return patches, labels
-
-
 def _read_latents_csv(path):
     _, rows = D.read_csv(path)
     try:
@@ -131,18 +113,9 @@ def _read_latents_csv(path):
     return Z, labels
 
 
-# (directory, fit, task) of every head; a head's seed offset is its 1-based place.
-_HEADS = (("mlp_cla", H.fit_mlp_head, "classify"),
-          ("mlp_reg", H.fit_mlp_head, "regress"),
-          ("forest_cla", H.fit_random_forest, "classify"),
-          ("forest_reg", H.fit_random_forest, "regress"),
-          ("e2e_cla", H.fit_end_to_end, "classify"),
-          ("e2e_reg", H.fit_end_to_end, "regress"))
-
-
 def _load_heads(heads_dir):
     found = {}
-    for name, _, _ in _HEADS:
+    for name, _, _ in P.HEADS:
         path = os.path.join(heads_dir, name)
         if os.path.isdir(path):
             found[name] = H.load_head(path)
@@ -205,7 +178,8 @@ def cmd_reconstruct(cfg, args):
         xp = D.patchify(x, model.grid)
         mask = np.zeros(model.grid.N, dtype=bool)
     else:
-        xp, mask = _perturbed(cfg, _TAG_RECON, args.index, x, model.grid)
+        xp, mask = P.perturbed(x, cfg.snr_db, cfg.ratio_pad, model.grid,
+                               cfg.seed, _TAG_RECON, args.index)
     x_pert = D.unpatchify(xp, model.grid)
     recon = model.reconstruct(xp)[0].data
     report = M.reconstruction_report(x, x_pert, recon)
@@ -236,9 +210,10 @@ def cmd_extract_latents(cfg, args):
     model, _ = TR.load_checkpoint(args.model)
     dataset = D.load_dataset(args.data)
 
-    patches, labels = _inputs(cfg, None if args.clean else _TAG_LATENTS, dataset,
-                              range(len(dataset.samples)), model.grid)
-    Z = np.concatenate([model.encode(xp)[0].data for xp in patches])
+    patches, labels = P.inputs(dataset, range(len(dataset.samples)), model.grid,
+                               cfg.snr_db, cfg.ratio_pad, cfg.seed,
+                               None if args.clean else _TAG_LATENTS)
+    Z, _ = P.routes(model, patches)
     if not np.isfinite(Z).all():
         raise NumericalFailure("non-finite latent encountered")
 
@@ -255,15 +230,18 @@ def cmd_extract_latents(cfg, args):
 
 
 def cmd_train_heads(cfg, args):
-    jobs = [(offset, name, fit, task)
-            for offset, (name, fit, task) in enumerate(_HEADS, 1)
-            if args.head in ("all", name.split("_")[0])]
-    on_latents = [not name.startswith("e2e") for _, name, _, _ in jobs]
+    # A head's seed offset is its 1-based place in pipeline.HEADS.
+    configs = {name: H.HeadConfig(seed=_sub_seed(cfg.seed, _TAG_HEAD, offset),
+                                  **cfg.heads)
+               for offset, (name, _, _) in enumerate(P.HEADS, 1)
+               if args.head in ("all", name.split("_")[0])}
+    on_latents = [not name.startswith("e2e") for name in configs]
     if any(on_latents) and not args.latents:
         raise UsageError("--latents is required for mlp/forest heads")
 
     dataset = D.load_dataset(args.data)
     train_idx = dataset.indices("train")
+    latents = flats = None
     if any(on_latents):
         Z, labels = _read_latents_csv(args.latents)
         if len(labels) != len(dataset.samples):
@@ -272,7 +250,7 @@ def cmd_train_heads(cfg, args):
             if (lb.location, lb.size_cm) != (s.location, s.size_cm):
                 raise UsageError(f"latents row {i} does not carry the location and "
                                  f"size of the dataset's sample {i}")
-        by_latents = ([Z[i] for i in train_idx], [labels[i] for i in train_idx])
+        latents, truth = Z[train_idx], [labels[i] for i in train_idx]
     if not all(on_latents):
         # The grid of the profile the dataset was generated at.
         grid = next((pr.grid() for pr in (DESK_PROFILE, PAPER_PROFILE)
@@ -280,23 +258,19 @@ def cmd_train_heads(cfg, args):
         if grid is None:
             raise UsageError(f"dataset is {dataset.p}x{dataset.l}, which no "
                              f"profile expects")
-        patches, truth = _inputs(cfg, _TAG_LATENTS, dataset, train_idx, grid)
-        by_matrices = ([D.unpatchify(xp, grid) for xp in patches], truth)
+        patches, truth = P.inputs(dataset, train_idx, grid, cfg.snr_db,
+                                  cfg.ratio_pad, cfg.seed, _TAG_LATENTS)
+        flats = [D.unpatchify(xp, grid).reshape(-1) for xp in patches]
 
-    reports = {}
     with _OutDir(args.out) as out:
-        for (offset, name, fit, task), latent in zip(jobs, on_latents):
-            config = H.HeadConfig(seed=_sub_seed(cfg.seed, _TAG_HEAD, offset),
-                                  **cfg.heads)
-            head, reports[name] = fit(*(by_latents if latent else by_matrices),
-                                      config=config, task=task)
+        fitted = P.fit_heads(configs, latents, flats, truth)
+        for name, (head, _) in fitted.items():
             H.save_head(head, os.path.join(out, name))
-
         D.write_json(os.path.join(out, "fit_reports.json"), {
-            **_stamp(cfg, "train-heads", {"heads": sorted(reports)}),
-            "reports": {name: asdict(r) for name, r in reports.items()},
+            **_stamp(cfg, "train-heads", {"heads": sorted(fitted)}),
+            "reports": {name: asdict(r) for name, (_, r) in fitted.items()},
         })
-    print(f"fitted heads: {', '.join(sorted(reports))}")
+    print(f"fitted heads: {', '.join(sorted(fitted))}")
 
 
 def cmd_evaluate(cfg, args):
@@ -308,9 +282,9 @@ def cmd_evaluate(cfg, args):
         raise UsageError("dataset has no test split")
 
     # One fresh perturbation per sample, shared by both diagnosis routes.
-    patches, labels = _inputs(cfg, _TAG_EVAL, dataset, test_idx, model.grid)
-    Zs = np.concatenate([model.encode(xp)[0].data for xp in patches])
-    flats = np.stack([D.unpatchify(xp, model.grid).reshape(-1) for xp in patches])
+    patches, labels = P.inputs(dataset, test_idx, model.grid, cfg.snr_db,
+                               cfg.ratio_pad, cfg.seed, _TAG_EVAL)
+    Zs, flats = P.routes(model, patches)
     results = {name: H.score(head, flats if name.startswith("e2e") else Zs, labels)
                for name, head in heads.items()}
 
@@ -349,6 +323,10 @@ def cmd_explain(cfg, args):
     reg = heads.get("mlp_reg") or heads.get("forest_reg")
     if cla is None or reg is None:
         raise UsageError("explain needs one classifier and one regressor head")
+    band_samples = I.select_size_band(dataset, band=cfg.size_band)
+    if not band_samples:
+        raise NumericalFailure(
+            f"no samples inside the size band {list(cfg.size_band)} cm")
 
     rng_bg = np.random.default_rng(
         np.random.SeedSequence((cfg.seed, _TAG_BACKGROUND)))
@@ -365,22 +343,9 @@ def cmd_explain(cfg, args):
     # Clean eval-mode latents of the samples read below, each encoded once.
     Z = {i: model.latent_vector(dataset.samples[i].matrix)
          for i in {*bg_idx, *chosen}}
-    background = np.stack([Z[i] for i in bg_idx])
-
-    shap_cfg = I.ShapConfig(background=background, seed=cfg.seed, **cfg.shap)
-    g_cla = I.classifier_fn(cla)
-    g_reg = I.regressor_fn(reg)
-    phis_cla, phis_reg = [], []
-    for i in chosen:
-        phis_cla.append(I.kernel_shap(g_cla, Z[i], shap_cfg).phi)
-        phis_reg.append(I.kernel_shap(g_reg, Z[i], shap_cfg).phi)
-    phi = I.latent_importance(np.stack(phis_cla), np.stack(phis_reg))
-
-    band_samples = I.select_size_band(dataset, band=cfg.size_band)
-    if not band_samples:
-        raise NumericalFailure(
-            f"no samples inside the size band {list(cfg.size_band)} cm")
-    report = I.parameter_importance(model, band_samples, phi)
+    report = P.cascade(model, cla, reg, [Z[i] for i in chosen],
+                       np.stack([Z[i] for i in bg_idx]), band_samples,
+                       {"seed": cfg.seed, **cfg.shap})
 
     names = [c.node_name for c in dataset.registry]
     stamp = _stamp(cfg, "explain", {
@@ -438,10 +403,11 @@ def _gradcheck_ops(seed):
         "logits": rng.normal(size=(4, 3)),
     }
     onehot = np.eye(3)[rng.integers(0, 3, size=4)]
-    P = T.Parameters({**arrays, "qkv": rng.normal(size=(5, 12))})  # 2 heads of width 2
+    # qkv is 2 heads of width 2.
+    params = T.Parameters({**arrays, "qkv": rng.normal(size=(5, 12))})
 
     def check(name, op, *names):
-        probed = {n: P[n] for n in names}
+        probed = {n: params[n] for n in names}
         return name, lambda: T.mse(op(*probed.values()), 0.0), probed
 
     return [
@@ -451,8 +417,8 @@ def _gradcheck_ops(seed):
         check("layer_norm", T.layer_norm, "xn", "gn", "bn"),
         check("lstm", T.lstm, "xl", "wih", "whh", "bl"),
         check("attention", lambda qkv: T.attention(qkv, 2), "qkv"),
-        ("cross_entropy", lambda: T.cross_entropy_logits(P["logits"], onehot),
-         {"logits": P["logits"]}),
+        ("cross_entropy", lambda: T.cross_entropy_logits(params["logits"], onehot),
+         {"logits": params["logits"]}),
     ]
 
 

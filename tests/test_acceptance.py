@@ -20,11 +20,12 @@ from dpae import data as D
 from dpae import heads as H
 from dpae import interpret as I
 from dpae import metrics as M
+from dpae import pipeline as P
 from dpae import tensor as T
 from dpae import training as TR
 from dpae.cli import _gradcheck_ops
 from dpae.model import DPAE, DESK_PROFILE, PAPER_PROFILE, ModelProfile
-from dpae.encoder import perturb_patches, preprocess
+from dpae.encoder import preprocess
 
 MASTER_SEEDS = (0, 1, 2)
 ZERO_SENS_CHANNELS = (4,)
@@ -44,10 +45,6 @@ def _report(num, name, ok, detail):
 
 def _derived_seed(*key):
     return int(np.random.SeedSequence(key).generate_state(1)[0])
-
-
-def _perturb(x, snr_db, ratio_pad, grid, rng):
-    return D.unpatchify(perturb_patches(x, snr_db, ratio_pad, grid, rng)[0], grid)
 
 
 @pytest.fixture(scope="session")
@@ -83,28 +80,13 @@ def seed_fits(desk_run):
         sets = {}
         for tag, idx in ((_TAG_FIT, ds.indices("train")),
                          (_TAG_EVAL, ds.indices("test"))):
-            Z, flat, labels = [], [], []
-            for i in idx:
-                sample = ds.samples[i]
-                rng = np.random.default_rng(np.random.SeedSequence((s, tag,
-                                                                    i)))
-                x_pert = _perturb(sample.matrix, snr_db, ratio_pad,
-                                  model.grid, rng)
-                Z.append(model.latent_vector(x_pert))
-                flat.append(x_pert.reshape(-1))
-                labels.append(H.DiagnosisLabel(sample.location,
-                                               sample.size_cm))
-            sets[tag] = (np.stack(Z), np.stack(flat), labels)
-        Zt, Ft, yt = sets[_TAG_FIT]
-        fitted = {}
-        for name, fit, inputs, task, k in (
-                ("mlp_cla", H.fit_mlp_head, Zt, "classify", 1),
-                ("mlp_reg", H.fit_mlp_head, Zt, "regress", 2),
-                ("e2e_cla", H.fit_end_to_end, Ft, "classify", 3),
-                ("e2e_reg", H.fit_end_to_end, Ft, "regress", 4)):
-            kind = "mlp" if fit is H.fit_mlp_head else "end_to_end_mlp"
-            cfg = H.HeadConfig(kind=kind, seed=_derived_seed(s, k))
-            fitted[name], _ = fit(inputs, yt, config=cfg, task=task)
+            patches, labels = P.inputs(ds, idx, model.grid, snr_db, ratio_pad,
+                                       s, tag)
+            sets[tag] = (*P.routes(model, patches), labels)
+        configs = {name: H.HeadConfig(seed=_derived_seed(s, k)) for k, name in
+                   enumerate(("mlp_cla", "mlp_reg", "e2e_cla", "e2e_reg"), 1)}
+        fitted = {name: head for name, (head, _) in
+                  P.fit_heads(configs, *sets[_TAG_FIT]).items()}
         out[s] = SimpleNamespace(heads=fitted, train=sets[_TAG_FIT],
                                  test=sets[_TAG_EVAL])
     return out
@@ -144,9 +126,7 @@ def test_criterion_2_reconstruction_beats_identity(desk_run):
         ratios = []
         for i in ds.indices("test"):
             x = ds.samples[i].matrix
-            rng = np.random.default_rng(np.random.SeedSequence((0, 70 + j,
-                                                                i)))
-            xp, _ = perturb_patches(x, snr_db, ratio_pad, model.grid, rng)
+            xp, _ = P.perturbed(x, snr_db, ratio_pad, model.grid, 0, 70 + j, i)
             x_pert = D.unpatchify(xp, model.grid)
             recon, _ = model.reconstruct(xp)
             report = M.reconstruction_report(x, x_pert, recon.data)
@@ -165,25 +145,15 @@ def test_criterion_2_reconstruction_beats_identity(desk_run):
     assert desk_run.train_seconds <= 900.0
 
 
-def _macro_f1_of(head, X, y_true):
-    probs = np.atleast_2d(H.predict(head, X))
-    pred = np.argmax(probs, axis=1)
-    return M.macro_f1(M.confusion_matrix(y_true, pred.tolist(), 2))
-
-
 def test_criterion_3_stepwise_beats_end_to_end(seed_fits):
     f1_step, f1_e2e, rmse_step, rmse_e2e = [], [], [], []
     for s in MASTER_SEEDS:
         fit = seed_fits[s]
         Ze, Fe, ye = fit.test
-        y_cla = [H.CLASS_ORDER.index(lb.location) for lb in ye]
-        y_reg = np.array([lb.size_cm for lb in ye])
-        f1_step.append(_macro_f1_of(fit.heads["mlp_cla"], Ze, y_cla))
-        f1_e2e.append(_macro_f1_of(fit.heads["e2e_cla"], Fe, y_cla))
-        rmse_step.append(M.rmse(np.atleast_1d(
-            H.predict(fit.heads["mlp_reg"], Ze)), y_reg))
-        rmse_e2e.append(M.rmse(np.atleast_1d(
-            H.predict(fit.heads["e2e_reg"], Fe)), y_reg))
+        f1_step.append(H.score(fit.heads["mlp_cla"], Ze, ye)["macro_f1"])
+        f1_e2e.append(H.score(fit.heads["e2e_cla"], Fe, ye)["macro_f1"])
+        rmse_step.append(H.score(fit.heads["mlp_reg"], Ze, ye)["rmse"])
+        rmse_e2e.append(H.score(fit.heads["e2e_reg"], Fe, ye)["rmse"])
     gap = float(np.mean(f1_step) - np.mean(f1_e2e))
     ratio = float(np.mean(rmse_step) / np.mean(rmse_e2e))
     ok = gap >= 0.05 and ratio <= 0.8
@@ -259,16 +229,12 @@ def _cascade(desk_run, fit, seed):
     Ze = fit.test[0]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 80)))
     bg = Zt[rng.choice(len(Zt), size=16, replace=False)]
-    cfg = I.ShapConfig(background=bg, coalition_samples=256, seed=seed)
-    g_cla = I.classifier_fn(fit.heads["mlp_cla"])
-    g_reg = I.regressor_fn(fit.heads["mlp_reg"])
     pick = rng.choice(len(Ze), size=4, replace=False)
-    phi_cla = np.stack([I.kernel_shap(g_cla, Ze[i], cfg).phi for i in pick])
-    phi_reg = np.stack([I.kernel_shap(g_reg, Ze[i], cfg).phi for i in pick])
-    phi = I.latent_importance(phi_cla, phi_reg)
-    band = I.select_size_band(desk_run.dataset, band=DESK_BAND)
-    report = I.parameter_importance(desk_run.model, band, phi)
-    return phi, report
+    report = P.cascade(desk_run.model, fit.heads["mlp_cla"],
+                       fit.heads["mlp_reg"], Ze[pick], bg,
+                       I.select_size_band(desk_run.dataset, band=DESK_BAND),
+                       {"coalition_samples": 256, "seed": seed})
+    return report
 
 
 def test_criterion_5_importance_cascade(desk_run, seed_fits):
@@ -277,17 +243,17 @@ def test_criterion_5_importance_cascade(desk_run, seed_fits):
     phi0 = None
     ranking0 = None
     for s in MASTER_SEEDS:
-        phi, report = _cascade(desk_run, seed_fits[s], s)
-        assert abs(phi.sum() - 1.0) <= 1e-12
+        report = _cascade(desk_run, seed_fits[s], s)
+        assert abs(report.phi.sum() - 1.0) <= 1e-12
         assert len(report.psi) == l
         rank_pos = {ch: pos for pos, ch in enumerate(report.ranking)}
         if all(rank_pos[ch] >= l // 2 for ch in ZERO_SENS_CHANNELS):
             hits += 1
         if s == 0:
-            phi0, ranking0 = phi, list(report.ranking)
-    phi_again, report_again = _cascade(desk_run, seed_fits[0], 0)
-    deterministic = (np.array_equal(phi0, phi_again)
-                     and list(report_again.ranking) == ranking0)
+            phi0, ranking0 = report.phi, list(report.ranking)
+    again = _cascade(desk_run, seed_fits[0], 0)
+    deterministic = (np.array_equal(phi0, again.phi)
+                     and list(again.ranking) == ranking0)
     ok = hits >= 2 and deterministic
     _report(5, "importance cascade soundness", ok,
             f"phi sums to 1 (3 seeds), Psi length {l}, ranking "

@@ -461,12 +461,18 @@ class TestExplain:
         assert doc["meta"]["config"]["size_band"] == [2.0, 60.0]
         assert doc["meta"]["config"]["shap"] == {"coalition_samples": 40}
 
-    def test_empty_band_is_numerical_failure(self, ws, tmp_path):
+    def test_empty_band_is_numerical_failure(self, ws, tmp_path, capsys,
+                                             monkeypatch):
+        def kernel_shap(g, x, config):
+            raise AssertionError("explain ran kernel SHAP before checking the band")
+
+        monkeypatch.setattr(cli.I, "kernel_shap", kernel_shap)
         assert run_cli("explain", "--model", ws.ckpt, "--data", ws.data,
                        "--heads", ws.heads, "--out", str(tmp_path / "e"),
                        "--band", "0.001,0.002", "--explain-count", "1",
                        "--background-size", "4", "--coalitions", "40",
                        "--seed", SEED) == 2
+        assert "size band" in capsys.readouterr().err
 
     def test_bad_counts_fail_before_the_dataset_loads(self, ws, tmp_path,
                                                       capsys, monkeypatch):
